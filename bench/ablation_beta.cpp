@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
           total > 0 ? static_cast<double>(r.cpu_updates) / total : 0.0;
       tensor::Index cpu_batch = 0;
       for (const auto& w : r.workers) {
-        if (w.kind == gpusim::DeviceKind::kCpu) cpu_batch = w.final_batch;
+        if (w.kind == backend::DeviceKind::kCpu) cpu_batch = w.final_batch;
       }
       std::printf("%8.2f %12.4f %11.1f%% %16lld\n", beta, r.final_loss,
                   100.0 * cpu_share, static_cast<long long>(cpu_batch));

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         data::Dataset dataset = bench::build_dataset(b, 1);
         core::TrainingConfig config = bench::build_config(b, a, budget);
         config.cpu.sim_lanes = lanes;
-        config.cpu.spec = gpusim::xeon_spec(lanes);
+        config.cpu.spec = backend::xeon_spec(lanes);
         config.cpu.host_threads = std::max(64, lanes + 8);
         core::Trainer trainer(std::move(dataset), config);
         core::TrainingResult r = trainer.run();

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       core::TrainingResult r =
           bench::run_cell(b, Algorithm::kMinibatchGpu, budget, 1);
       for (const auto& w : r.workers) {
-        if (w.kind != gpusim::DeviceKind::kGpu) continue;
+        if (w.kind != backend::DeviceKind::kGpu) continue;
         std::printf("%-14s %10lld %16.3g %16.3g %12.4f\n",
                     core::algorithm_name(Algorithm::kMinibatchGpu),
                     static_cast<long long>(b.gpu_max_batch), w.mean_staleness,
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       core::Trainer trainer(std::move(dataset), config);
       core::TrainingResult r = trainer.run();
       for (const auto& w : r.workers) {
-        if (w.kind != gpusim::DeviceKind::kGpu) continue;
+        if (w.kind != backend::DeviceKind::kGpu) continue;
         std::printf("%-14s %10lld %16.3g %16.3g %12.4f\n",
                     core::algorithm_name(Algorithm::kCpuGpuHogbatch),
                     static_cast<long long>(batch), w.mean_staleness,
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       core::TrainingResult r =
           bench::run_cell(b, Algorithm::kAdaptiveHogbatch, budget, 1);
       for (const auto& w : r.workers) {
-        if (w.kind != gpusim::DeviceKind::kGpu) continue;
+        if (w.kind != backend::DeviceKind::kGpu) continue;
         std::printf("%-14s %10s %16.3g %16.3g %12.4f\n",
                     core::algorithm_name(Algorithm::kAdaptiveHogbatch),
                     "adaptive", w.mean_staleness, w.max_staleness,

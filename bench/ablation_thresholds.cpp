@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       core::TrainingResult r = trainer.run();
       double gpu_util = 0.0;
       for (const auto& w : r.workers) {
-        if (w.kind == gpusim::DeviceKind::kGpu) {
+        if (w.kind == backend::DeviceKind::kGpu) {
           gpu_util = w.mean_utilization;
         }
       }

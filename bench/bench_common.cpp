@@ -68,7 +68,7 @@ double budget_for_gpu_epochs(const DatasetBench& b, Index examples,
   // input_dim/classes do not change the dominant terms enough to matter
   // for a budget; use the dataset metadata for the real dims.
   config.mlp.input_dim = 1;  // placeholder, replaced below
-  gpusim::PerfModel gpu(config.gpu.spec);
+  backend::PerfModel gpu(config.gpu.spec);
   nn::MlpConfig mlp = config.mlp;
   const auto info = data::paper_dataset_info(b.id);
   mlp.input_dim = info.dim;

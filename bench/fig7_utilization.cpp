@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
         }
         auto series = monitor.bucket_series(0, dt, horizon);
         const char* kind =
-            w.kind == gpusim::DeviceKind::kCpu ? "CPU" : "GPU";
+            w.kind == backend::DeviceKind::kCpu ? "CPU" : "GPU";
         std::printf("  %-4s|", kind);
         for (double u : series) {
           // Coarse sparkline: utilization in tenths.

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   fill(rng, o.bias);
   fill(rng, o.delta);
 
-  backend::CpuBackend cpu(gpusim::xeon56_spec(),
+  backend::CpuBackend cpu(backend::xeon56_spec(),
                           backend::CpuBackend::Mode::kZeroCopy);
   backend::Backend& seam = cpu;
   Handles h(seam, o);

@@ -29,8 +29,8 @@ nn::MlpConfig paper_mlp(const data::PaperDatasetInfo& info) {
 }  // namespace
 
 int main() {
-  const gpusim::DeviceSpec cpu = gpusim::xeon56_spec();
-  const gpusim::DeviceSpec gpu = gpusim::v100_spec();
+  const backend::DeviceSpec cpu = backend::xeon56_spec();
+  const backend::DeviceSpec gpu = backend::v100_spec();
 
   std::printf("TABLE I: Hardware architecture specifications (modeled)\n");
   std::printf("%-28s %18s %18s\n", "", "CPU (2x Xeon)", "GPU (V100)");
@@ -45,8 +45,8 @@ int main() {
   std::printf("%-28s %18s %13.1f GB/s\n", "host link", "shared memory",
               gpu.link_bandwidth / 1e9);
 
-  gpusim::PerfModel cpu_perf(cpu);
-  gpusim::PerfModel gpu_perf(gpu);
+  backend::PerfModel cpu_perf(cpu);
+  backend::PerfModel gpu_perf(gpu);
 
   std::printf("\nCalibration: modeled epoch times at paper scale "
               "(512-unit hidden layers)\n");

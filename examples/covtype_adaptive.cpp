@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   double alpha = 2.0;
   std::string fault_csv;
   std::string elastic_plan;
-  std::string backend = "sim";
   core::FaultToleranceConfig fault;
   obs::ObsOptions obs_options;
   CliParser cli("covtype_adaptive",
@@ -35,18 +34,12 @@ int main(int argc, char** argv) {
   cli.add_double("budget", &gpu_epochs_budget,
                  "virtual-time budget, in GPU mini-batch epochs");
   cli.add_double("alpha", &alpha, "batch resize factor (Algorithm 2)");
-  core::register_backend_flag(cli, &backend);
   core::register_fault_flags(cli, &fault);
   core::register_elastic_flags(cli, &elastic_plan);
   obs::register_obs_flags(cli, &obs_options);
   cli.add_string("fault-csv", &fault_csv,
                  "write the fault/recovery event log to this CSV");
   if (!cli.parse(argc, argv)) return 0;
-  if (!core::validate_backend(backend)) {
-    std::fprintf(stderr, "unknown backend '%s' (%s)\n", backend.c_str(),
-                 core::backend_names_help().c_str());
-    return 2;
-  }
 
   data::Dataset dataset =
       data::make_paper_dataset(data::PaperDataset::kCovtype, scale, 7);
@@ -66,7 +59,6 @@ int main(int argc, char** argv) {
   config.gpu.max_batch = 1024;
   config.gpu.batch = 1024;
   config.gpu.spec.half_saturation_batch = 128;
-  config.backend = backend;
   config.fault = fault;
   config.elastic_plan = elastic_plan;
   config.obs = obs_options;
@@ -75,7 +67,7 @@ int main(int argc, char** argv) {
   core::TrainingConfig probe = config;
   probe.mlp.input_dim = dataset.dim();
   probe.mlp.num_classes = dataset.num_classes();
-  gpusim::PerfModel gpu_perf(config.gpu.spec);
+  backend::PerfModel gpu_perf(config.gpu.spec);
   config.time_budget_vseconds =
       gpu_epochs_budget *
       core::gpu_epoch_seconds(gpu_perf, probe.mlp, dataset.example_count(),

@@ -20,7 +20,6 @@ using namespace hetsgd;
 int main(int argc, char** argv) {
   std::string file;
   std::string algorithm = "adaptive";
-  std::string backend = "sim";
   std::int64_t max_examples = 0;
   double budget = 0.02;
   obs::ObsOptions obs_options;
@@ -28,16 +27,10 @@ int main(int argc, char** argv) {
   cli.add_string("file", &file, "LIBSVM input (generated sample if empty)");
   cli.add_string("algorithm", &algorithm,
                  "cpu | gpu | cpu+gpu | adaptive | tensorflow");
-  core::register_backend_flag(cli, &backend);
   cli.add_int("max-examples", &max_examples, "cap on examples read (0=all)");
   cli.add_double("budget", &budget, "virtual-time budget in seconds");
   obs::register_obs_flags(cli, &obs_options);
   if (!cli.parse(argc, argv)) return 0;
-  if (!core::validate_backend(backend)) {
-    std::fprintf(stderr, "unknown backend '%s' (%s)\n", backend.c_str(),
-                 core::backend_names_help().c_str());
-    return 2;
-  }
 
   if (file.empty()) {
     // Self-contained mode: synthesize a small dataset and round-trip it
@@ -82,7 +75,6 @@ int main(int argc, char** argv) {
   config.gpu.batch = 512;
   config.gpu.min_batch = 64;
   config.gpu.max_batch = 512;
-  config.backend = backend;
   config.obs = obs_options;
 
   core::Trainer trainer(std::move(dataset), config);

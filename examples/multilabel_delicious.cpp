@@ -8,9 +8,9 @@
 // observation of §VII-B that the many-label output layer is where
 // TensorFlow's overhead lives.
 #include <cstdio>
-#include <memory>
 #include <vector>
 
+#include "backend/cpu_backend.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -108,10 +108,11 @@ int main(int argc, char** argv) {
   // The same architecture through the simulated GPU: the 983-wide output
   // layer dominates the per-batch kernel cost — the seed of TensorFlow's
   // delicious slowdown in Fig. 5c.
-  auto device = backend::make_backend("sim", backend::v100_spec());
+  backend::CpuBackend device(backend::v100_spec(),
+                             backend::CpuBackend::Mode::kDevice);
   nn::MlpConfig wide = mlp;
   wide.num_classes = 983;
-  backend::MlpExecutor device_mlp(*device, wide, batch);
+  backend::MlpExecutor device_mlp(device, wide, batch);
   nn::Model wide_model(wide, rng);
   std::vector<std::int32_t> wide_labels(static_cast<std::size_t>(batch), 0);
   double t0 = device_mlp.upload_model(wide_model, 0.0);

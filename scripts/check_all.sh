@@ -44,21 +44,6 @@ cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 echo "gate 1: PASS"
 
-# --- 1b. per-backend execution legs ----------------------------------------
-# The suites that exercise device-worker execution (backend equivalence,
-# unified worker protocol, full training runs) honor HETSGD_BACKEND and
-# re-run once per registered backend, so both engines stay behind the one
-# seam contract. "sim" is the default leg gate 1 already ran; it repeats
-# here so a changed default can't silently shrink coverage.
-note "gate 1b: per-backend ctest (backend/worker/trainer suites)"
-BACKEND_SUITES='^(AllBackends/BackendSuite|BackendEquivalence|CpuWorkerProtocol|GpuWorkerProtocol|WorkerState|Trainer\.|AllAlgorithms/AlgorithmRun)'
-for backend in cpu sim; do
-  echo "--- backend: $backend ---"
-  HETSGD_BACKEND=$backend ctest --test-dir build --output-on-failure \
-    -j"$JOBS" -R "$BACKEND_SUITES"
-done
-echo "gate 1b: PASS"
-
 # --- 2. clang thread-safety analysis ---------------------------------------
 # This is the leg that *proves* the GUARDED_BY/REQUIRES annotations:
 # removing a MutexLock around any guarded field fails this build.

@@ -1,5 +1,7 @@
-// The backend seam: one abstract device interface behind which host-CPU
-// and simulated-GPU execution are interchangeable.
+// The backend seam: the one abstract device interface the MLP executor
+// issues its kernel sequence through. CpuBackend is its implementation, in
+// a zero-copy mode (Hogwild lanes on the shared model) and a device mode
+// (the GPU worker's private replica, charged at the modeled card's speed).
 //
 // A Backend owns device-resident buffers (opaque handles), moves data
 // across the host<->device boundary, and executes the MLP kernel set —
@@ -12,30 +14,33 @@
 // virtual time.
 //
 // Concurrency contract (DESIGN.md §13): a Backend instance and all of its
-// buffers are single-owner, confined to the thread that created it —
-// exactly the contract gpusim::Device has always had. Nothing here is
-// synchronized; the worker actor's mailbox is the only way in. Workers
-// that run parallel Hogwild lanes own one Backend instance per lane.
+// buffers are single-owner, confined to the thread that created it.
+// Nothing here is synchronized; the worker actor's mailbox is the only way
+// in. Workers that run parallel Hogwild lanes own one Backend instance per
+// lane.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "backend/device_model.hpp"
-#include "gpusim/device.hpp"
 #include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
 namespace hetsgd::backend {
 
-// Transfer failures keep the simulator's exception type (the analog of a
-// failed cudaMemcpy); re-exported so callers outside the seam catch
-// backend::TransferError without naming gpusim.
-using TransferError = gpusim::TransferError;
+// A failed host<->device transfer (the analog of a CUDA cudaErrorUnknown /
+// bus error on cudaMemcpy). Thrown by upload/download when a fault has been
+// injected; workers retry with backoff and escalate to the coordinator when
+// retries are exhausted.
+class TransferError : public std::runtime_error {
+ public:
+  explicit TransferError(const std::string& what)
+      : std::runtime_error(what) {}
+};
 
 // Opaque handle to a device-resident rows x cols buffer. Plain value type:
 // copying the handle does not copy (or share ownership of) the storage —
@@ -56,8 +61,6 @@ class Backend {
  public:
   virtual ~Backend() = default;
 
-  // Registry name ("cpu", "sim").
-  virtual const std::string& name() const = 0;
   virtual const PerfModel& perf() const = 0;
   DeviceKind kind() const { return perf().spec().kind; }
 
@@ -75,7 +78,7 @@ class Backend {
   virtual Buffer adopt(tensor::MatrixView host) = 0;
   // Releases the allocation (no-op for adopted storage) and nulls `b`.
   virtual void free(Buffer& b) = 0;
-  // Host-visible view of the buffer's storage. The simulated device's
+  // Host-visible view of the buffer's storage. The modeled device's
   // "device memory" is host RAM, so this is always available; kernels and
   // tests read through it.
   virtual tensor::MatrixView view(const Buffer& b) = 0;
@@ -150,15 +153,5 @@ class Backend {
   virtual std::uint64_t transfer_count() const = 0;
   virtual std::uint64_t bytes_transferred() const = 0;
 };
-
-// --- registry ------------------------------------------------------------
-// Names of all linked-in backends, in registration order ("cpu", "sim").
-const std::vector<std::string>& registered_backends();
-bool backend_registered(const std::string& name);
-// Constructs a backend by registry name over the given device spec.
-// Returns nullptr for unknown names (callers validate CLI input through
-// backend_registered()).
-std::unique_ptr<Backend> make_backend(const std::string& name,
-                                      const DeviceSpec& spec);
 
 }  // namespace hetsgd::backend

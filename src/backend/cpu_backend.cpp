@@ -5,12 +5,36 @@
 
 #include "common/macros.hpp"
 #include "nn/loss.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::backend {
 
 using tensor::Index;
 using tensor::Scalar;
+
+namespace {
+
+// Process-global device counters, cached once: kernels and transfers are
+// on the replica worker's hot path, so the registry map lookup must not
+// recur.
+struct DeviceMetrics {
+  obs::Counter& transfers =
+      obs::MetricsRegistry::instance().counter("hetsgd_gpu_transfers_total");
+  obs::Counter& transfer_bytes = obs::MetricsRegistry::instance().counter(
+      "hetsgd_gpu_transfer_bytes_total");
+  obs::Counter& kernels =
+      obs::MetricsRegistry::instance().counter("hetsgd_gpu_kernels_total");
+};
+
+DeviceMetrics& device_metrics() {
+  // hetsgd-lint: allow(naked-new) leaked singleton: outlives statics
+  static DeviceMetrics* m = new DeviceMetrics();
+  return *m;
+}
+
+}  // namespace
 
 CpuBackend::CpuBackend(const DeviceSpec& spec, Mode mode)
     : perf_(spec), mode_(mode) {}
@@ -30,9 +54,13 @@ tensor::MatrixView CpuBackend::rows(const Buffer& b, Index batch) {
 
 double CpuBackend::charge(double cost, double issue) {
   if (mode_ == Mode::kZeroCopy) return issue;
-  // gpusim::Stream::enqueue: advance_to(issue) then advance(cost).
   queue_time_ = std::max(queue_time_, issue) + cost;
   return queue_time_;
+}
+
+double CpuBackend::charge_kernel(double cost, double issue) {
+  if (mode_ == Mode::kDevice) device_metrics().kernels.inc();
+  return charge(cost, issue);
 }
 
 void CpuBackend::check_transfer_fault(const char* direction) {
@@ -47,8 +75,7 @@ Buffer CpuBackend::alloc(Index rows_, Index cols_) {
   HETSGD_ASSERT(rows_ >= 0 && cols_ >= 0, "negative buffer shape");
   const std::uint64_t bytes = static_cast<std::uint64_t>(rows_) * cols_ *
                               sizeof(Scalar);
-  // Mirror the simulated device's cudaMalloc-fails-hard behavior against
-  // this backend's modeled memory capacity.
+  // cudaMalloc-fails-hard behavior against the modeled memory capacity.
   HETSGD_ASSERT(bytes_in_use_ + bytes <= perf_.spec().memory_capacity,
                 "cpu backend out of modeled memory");
   Slot s;
@@ -87,34 +114,39 @@ tensor::MatrixView CpuBackend::view(const Buffer& b) {
   return rows(b, b.rows);
 }
 
+double CpuBackend::transfer(const char* span_name, const char* direction,
+                            const Scalar* from, Scalar* to,
+                            std::uint64_t bytes, double issue) {
+  const bool device = mode_ == Mode::kDevice;
+  // A null span name leaves the span untraced: zero-copy lanes move no
+  // bytes across a device link.
+  HETSGD_TRACE_SPAN(span, "gpusim", device ? span_name : nullptr, issue);
+  check_transfer_fault(direction);
+  if (from != to) std::memcpy(to, from, static_cast<std::size_t>(bytes));
+  ++transfers_;
+  bytes_moved_ += bytes;
+  if (!device) return issue;
+  device_metrics().transfers.inc();
+  device_metrics().transfer_bytes.inc(bytes);
+  const double done = charge(perf_.transfer_seconds(bytes), issue);
+  span.set_end_vt(done);
+  return done;
+}
+
 double CpuBackend::upload(tensor::ConstMatrixView host, const Buffer& dst,
                           double issue) {
   HETSGD_ASSERT(host.rows() == dst.rows && host.cols() == dst.cols,
                 "H2D copy shape mismatch");
-  check_transfer_fault("H2D");
-  auto dv = view(dst);
-  if (dv.data() != host.data()) {
-    std::memcpy(dv.data(), host.data(),
-                static_cast<std::size_t>(host.size()) * sizeof(Scalar));
-  }
-  ++transfers_;
-  bytes_moved_ += dst.bytes();
-  return charge(perf_.transfer_seconds(dst.bytes()), issue);
+  return transfer("h2d_copy", "H2D", host.data(), view(dst).data(),
+                  dst.bytes(), issue);
 }
 
 double CpuBackend::download(const Buffer& src, tensor::MatrixView host,
                             double issue) {
   HETSGD_ASSERT(host.rows() == src.rows && host.cols() == src.cols,
                 "D2H copy shape mismatch");
-  check_transfer_fault("D2H");
-  auto sv = view(src);
-  if (sv.data() != host.data()) {
-    std::memcpy(host.data(), sv.data(),
-                static_cast<std::size_t>(host.size()) * sizeof(Scalar));
-  }
-  ++transfers_;
-  bytes_moved_ += src.bytes();
-  return charge(perf_.transfer_seconds(src.bytes()), issue);
+  return transfer("d2h_copy", "D2H", view(src).data(), host.data(),
+                  src.bytes(), issue);
 }
 
 double CpuBackend::stage_batch(tensor::ConstMatrixView x, Buffer& dst,
@@ -149,7 +181,7 @@ double CpuBackend::gemm_bias_act(const Buffer& x, const Buffer& w,
   auto ov = rows(out, batch);
   tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, Scalar{1},
                         xv, wv, ov, view(bias), epilogue);
-  return charge(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
+  return charge_kernel(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
 }
 
 double CpuBackend::softmax_xent(const Buffer& logits,
@@ -160,9 +192,9 @@ double CpuBackend::softmax_xent(const Buffer& logits,
   auto dv = rows(dlogits, batch);
   const Scalar l = nn::softmax_cross_entropy(lv, labels, &dv);
   if (loss != nullptr) *loss = l;
-  double t = charge(perf_.elementwise_seconds(
-                        static_cast<std::uint64_t>(lv.size()) * 6),
-                    issue);
+  double t = charge_kernel(perf_.elementwise_seconds(
+                               static_cast<std::uint64_t>(lv.size()) * 6),
+                           issue);
   // One scalar (the loss) returns to the host.
   t = charge(perf_.transfer_seconds(sizeof(Scalar)), issue);
   return t;
@@ -171,22 +203,22 @@ double CpuBackend::softmax_xent(const Buffer& logits,
 double CpuBackend::matmul_tn(const Buffer& delta, const Buffer& prev,
                              Index batch, const Buffer& grad_w, double issue) {
   tensor::matmul_tn(rows(delta, batch), rows(prev, batch), view(grad_w));
-  return charge(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch), issue);
+  return charge_kernel(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
+                       issue);
 }
 
 double CpuBackend::col_sums(const Buffer& m, Index batch, const Buffer& out,
                             double issue) {
   auto mv = rows(m, batch);
   tensor::col_sums(mv, view(out));
-  return charge(perf_.elementwise_seconds(
-                    static_cast<std::uint64_t>(mv.size())),
-                issue);
+  return charge_kernel(
+      perf_.elementwise_seconds(static_cast<std::uint64_t>(mv.size())), issue);
 }
 
 double CpuBackend::matmul_nn(const Buffer& delta, const Buffer& w, Index batch,
                              const Buffer& out, double issue) {
   tensor::matmul_nn(rows(delta, batch), view(w), rows(out, batch));
-  return charge(perf_.gemm_seconds(batch, w.cols, w.rows), issue);
+  return charge_kernel(perf_.gemm_seconds(batch, w.cols, w.rows), issue);
 }
 
 double CpuBackend::activation_backward(nn::Activation act,
@@ -195,18 +227,16 @@ double CpuBackend::activation_backward(nn::Activation act,
                                        double issue) {
   auto dv = rows(delta, batch);
   nn::activation_backward(act, rows(activated, batch), dv);
-  return charge(perf_.elementwise_seconds(
-                    static_cast<std::uint64_t>(dv.size())),
-                issue);
+  return charge_kernel(
+      perf_.elementwise_seconds(static_cast<std::uint64_t>(dv.size())), issue);
 }
 
 double CpuBackend::axpy(Scalar alpha, const Buffer& x, const Buffer& y,
                         double issue) {
   auto xv = view(x);
   tensor::axpy(alpha, xv, view(y));
-  return charge(perf_.elementwise_seconds(
-                    static_cast<std::uint64_t>(xv.size())),
-                issue);
+  return charge_kernel(
+      perf_.elementwise_seconds(static_cast<std::uint64_t>(xv.size())), issue);
 }
 
 double CpuBackend::synchronize(double issue) {

@@ -11,19 +11,19 @@
 //    mode's arithmetic — and its data races on shared storage — are
 //    bit-for-bit the pre-seam host path.
 //
-//  * kDevice — the replica configuration (registry name "cpu"): behaves
-//    like a discrete device that happens to be the host. Buffers are
-//    private capacity-accounted allocations, transfers really copy (and
-//    honor fault injection, giving every backend the same fault surface),
-//    and each kernel charges its modeled cost on a FIFO queue cursor with
-//    the same formulas gpusim's Stream uses — so a worker driving this
-//    backend advances virtual time just like one driving the simulator.
+//  * kDevice — the replica configuration (core::make_device_backend):
+//    behaves like a discrete device that happens to be the host. Buffers
+//    are private capacity-accounted allocations, transfers really copy
+//    (and honor fault injection), and each kernel charges its modeled cost
+//    on a FIFO queue cursor — so a worker driving this backend advances
+//    virtual time at the modeled card's speed. Transfers and kernels tick
+//    the process-wide hetsgd_gpu_* counters, and transfers emit the
+//    h2d_copy/d2h_copy trace spans.
 //
 // Thread confinement per Backend's contract: single-owner, unsynchronized.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -36,7 +36,6 @@ class CpuBackend final : public Backend {
 
   CpuBackend(const DeviceSpec& spec, Mode mode);
 
-  const std::string& name() const override { return name_; }
   const PerfModel& perf() const override { return perf_; }
   bool zero_copy() const override { return mode_ == Mode::kZeroCopy; }
 
@@ -96,13 +95,20 @@ class CpuBackend final : public Backend {
   // Charges `cost` on the FIFO queue cursor (kDevice) or returns `issue`
   // unchanged (kZeroCopy, where the worker charges analytically).
   double charge(double cost, double issue);
+  // charge() for a kernel launch: kDevice also ticks the kernel counter.
+  double charge_kernel(double cost, double issue);
+  // The H2D/D2H copy both directions share: fault check, memcpy, transfer
+  // accounting and the modeled link charge.
+  double transfer(const char* span_name, const char* direction,
+                  const tensor::Scalar* from, tensor::Scalar* to,
+                  std::uint64_t bytes, double issue);
   void check_transfer_fault(const char* direction);
 
-  std::string name_ = "cpu";
   PerfModel perf_;
   Mode mode_;
   std::vector<Slot> slots_;
-  // FIFO queue cursor: the same advance_to/advance math as gpusim::Stream.
+  // FIFO queue cursor: an operation starts at max(issue, cursor) and
+  // completes `cost` later.
   double queue_time_ = 0.0;
   std::uint64_t bytes_in_use_ = 0;
   std::int64_t pending_faults_ = 0;

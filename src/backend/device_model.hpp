@@ -2,12 +2,11 @@
 //
 // Code outside src/backend/ and src/gpusim/ that needs the modeled-hardware
 // vocabulary — device kinds, specs, analytic perf models, virtual clocks —
-// includes this header instead of gpusim directly. The gpusim-include lint
-// rule (tools/lint/hetsgd_lint.py) keeps the simulator's execution
-// machinery (Device / Stream / DeviceMemory) private to the backend layer;
-// the *modeling* types below stay shared vocabulary for cost estimation
-// and scheduling, which is exactly the split a real multi-device port
-// needs: schedulers reason about specs, only backends touch devices.
+// includes this header instead of gpusim directly (the gpusim-include lint
+// rule, tools/lint/hetsgd_lint.py). gpusim holds only the *model*; what
+// executes on a device is a Backend, which is exactly the split a real
+// multi-device port needs: schedulers reason about specs, only backends
+// touch devices.
 #pragma once
 
 #include "gpusim/perf_model.hpp"

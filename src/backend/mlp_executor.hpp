@@ -11,11 +11,11 @@
 //
 // Two buffer regimes, chosen by the backend's zero_copy() capability:
 //
-//  * Private replica (SimBackend, CpuBackend::kDevice): the constructor
-//    allocates replica, gradient, activation and staging buffers in device
-//    memory — in the same order the DeviceMlp did, so capacity-exceeded
-//    aborts fire identically — and upload_model / download_gradient /
-//    download_model really move bytes (and really hit fault injection).
+//  * Private replica (CpuBackend::kDevice): the constructor allocates
+//    replica, gradient, activation and staging buffers in device memory —
+//    in the same order the DeviceMlp did, so capacity-exceeded aborts fire
+//    identically — and upload_model / download_gradient / download_model
+//    really move bytes (and really hit fault injection).
 //
 //  * Zero-copy (CpuBackend::kZeroCopy): bind_shared_model() /
 //    bind_host_gradient() adopt live host storage, so the "replica" IS the

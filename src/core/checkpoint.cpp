@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string_view>
 
 #include "common/logging.hpp"
 #include "common/macros.hpp"
@@ -126,10 +127,10 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   h = mix(h, static_cast<std::uint64_t>(config.gpu.max_batch));
   h = mix_double(h, config.gpu.host_merge_bandwidth);
   h = mix(h, static_cast<std::uint64_t>(config.gpu.worker_count));
-  // Execution backend: trajectories are backend-independent by design, but
-  // resuming under a different engine than the one that cut the checkpoint
-  // should be an explicit choice, not a silent one.
-  for (const char c : config.backend) {
+  // Formerly the --backend name, whose default was "sim". The knob is gone
+  // (one device backend remains), but the literal stays in the hash so
+  // checkpoints cut before its removal still resume.
+  for (const char c : std::string_view("sim")) {
     h = mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
   }
   h = mix(h, static_cast<std::uint64_t>(dataset.example_count()));

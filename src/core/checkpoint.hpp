@@ -41,7 +41,7 @@ namespace hetsgd::core {
 // per-lane optimizer state) as produced by its StateReport.
 struct WorkerCheckpoint {
   msg::WorkerId id = 0;
-  std::uint8_t kind = 0;  // gpusim::DeviceKind
+  std::uint8_t kind = 0;  // backend::DeviceKind
   WorkerStats stats;
   tensor::Index adaptive_batch = 0;
   std::uint64_t adaptive_updates = 0;

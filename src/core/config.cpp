@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "backend/backend.hpp"
-#include "common/cli.hpp"
-
 namespace hetsgd::core {
 
 const char* algorithm_name(Algorithm a) {
@@ -50,25 +47,6 @@ bool algorithm_uses_cpu(Algorithm a) {
 bool algorithm_uses_gpu(Algorithm a) {
   return a == Algorithm::kMinibatchGpu || a == Algorithm::kCpuGpuHogbatch ||
          a == Algorithm::kAdaptiveHogbatch || a == Algorithm::kTensorFlow;
-}
-
-std::string backend_names_help() {
-  std::string help = "execution backend for device workers (";
-  const auto& names = backend::registered_backends();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) help += " | ";
-    help += names[i];
-  }
-  help += ")";
-  return help;
-}
-
-void register_backend_flag(CliParser& cli, std::string* backend) {
-  cli.add_string("backend", backend, backend_names_help());
-}
-
-bool validate_backend(const std::string& name) {
-  return backend::backend_registered(name);
 }
 
 double TrainingConfig::effective_lr(tensor::Index update_batch) const {

@@ -11,10 +11,6 @@
 #include "obs/exporter.hpp"
 #include "tensor/types.hpp"
 
-namespace hetsgd {
-class CliParser;
-}
-
 namespace hetsgd::core {
 
 // The five training algorithms of the evaluation (§VII-B): four Hogbatch
@@ -34,17 +30,11 @@ bool parse_algorithm(const std::string& name, Algorithm& out);
 bool algorithm_uses_cpu(Algorithm a);
 bool algorithm_uses_gpu(Algorithm a);
 
-// --backend flag support: registers the flag (help text enumerates the
-// backend registry) and validates a parsed value against it.
-void register_backend_flag(CliParser& cli, std::string* backend);
-bool validate_backend(const std::string& name);
-std::string backend_names_help();
-
 // CPU worker parameters. The worker simulates `sim_lanes` Hogwild threads
 // (the paper's t = 56); its batch is sim_lanes * examples_per_thread, split
 // into sim_lanes sub-batches each producing one model update.
 struct CpuWorkerConfig {
-  gpusim::DeviceSpec spec = gpusim::xeon56_spec();
+  backend::DeviceSpec spec = backend::xeon56_spec();
   int sim_lanes = 56;
   // Hardware threads on the host (the paper's machine exposes 64; using 56
   // of them yields the ~80-87% CPU utilization plateau of Fig. 7).
@@ -60,7 +50,7 @@ struct CpuWorkerConfig {
 // the upper threshold ("the initial batch size is set to the upper
 // threshold on the GPU workers").
 struct GpuWorkerConfig {
-  gpusim::DeviceSpec spec = gpusim::v100_spec();
+  backend::DeviceSpec spec = backend::v100_spec();
   tensor::Index batch = 8192;
   tensor::Index min_batch = 64;
   tensor::Index max_batch = 8192;
@@ -131,18 +121,11 @@ struct TrainingConfig {
 
   std::uint64_t seed = 1234;
 
-  // Execution backend for replica (device) workers, by registry name
-  // (backend::registered_backends(): "sim" = the gpusim device, "cpu" =
-  // host execution). The modeled hardware stays gpu.spec either way, so
-  // training trajectories are backend-independent; the flag chooses which
-  // engine runs the kernels. Hogwild lanes always run zero-copy on host.
-  std::string backend = "sim";
-
   CpuWorkerConfig cpu;
   GpuWorkerConfig gpu;
 
   // Fault injection + self-healing knobs (deadlines, reclamation,
-  // quarantine, divergence rollback, auto-checkpoints). Defaults leave
+  // quarantine, divergence rollback, checkpoints). Defaults leave
   // every recovery layer off, matching pre-fault-tolerant behavior.
   FaultToleranceConfig fault;
 

@@ -9,7 +9,6 @@
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
 #include "nn/mlp.hpp"
-#include "nn/serialize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -76,7 +75,7 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
   }
 }
 
-void Coordinator::add_worker(msg::Actor& actor, gpusim::DeviceKind kind,
+void Coordinator::add_worker(msg::Actor& actor, backend::DeviceKind kind,
                              const AdaptiveController::WorkerLimits& limits) {
   MutexLock lock(mu_);
   const auto id = static_cast<msg::WorkerId>(workers_.size());
@@ -113,10 +112,6 @@ void Coordinator::on_start() {
   // original run performed before the cut.
   if (!resumed_ && config_.eval_interval_vseconds > 0.0) {
     next_eval_vtime_ = config_.eval_interval_vseconds;
-  }
-  if (!resumed_ && config_.fault.checkpoint_interval_vseconds > 0.0 &&
-      !config_.fault.checkpoint_path.empty()) {
-    next_checkpoint_vtime_ = config_.fault.checkpoint_interval_vseconds;
   }
   if (ckpt_mgr_ != nullptr && !resumed_ &&
       config_.fault.checkpoint_interval_vseconds > 0.0) {
@@ -360,7 +355,7 @@ double Coordinator::effective_window() const {
 
 double Coordinator::estimate_cost(const WorkerRuntime& w,
                                   Index batch) const {
-  if (w.kind == gpusim::DeviceKind::kCpu) {
+  if (w.kind == backend::DeviceKind::kCpu) {
     const int lanes = config_.cpu.sim_lanes;
     const Index sub = std::max<Index>(1, batch / lanes);
     const int num_sub = static_cast<int>((batch + sub - 1) / sub);
@@ -636,7 +631,7 @@ void Coordinator::maybe_flip_epoch() {
         nn::training_flops(config_.mlp, dataset_.example_count()) / 3.0 /
         (gpu_perf_.spec().peak_flops * gpu_perf_.spec().max_efficiency);
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (workers_[i].kind == gpusim::DeviceKind::kGpu) {
+      if (workers_[i].kind == backend::DeviceKind::kGpu) {
         monitor_->record(static_cast<msg::WorkerId>(i), boundary,
                          boundary + eval_cost, 1.0);
       }
@@ -697,13 +692,12 @@ void Coordinator::evaluate_loss(double vtime) {
     return;
   }
   // Divergence insurance: remember the last model snapshot that evaluated
-  // to a finite loss, and persist it on the auto-checkpoint cadence.
+  // to a finite loss.
   last_good_model_ = eval_snapshot_;
   last_good_loss_ = loss;
   has_last_good_ = true;
   metrics().loss.set(loss);
   HETSGD_TRACE_COUNTER("loss", loss);
-  maybe_auto_checkpoint();
   curve_.push_back({vtime, epochs_completed(), loss});
 }
 
@@ -738,17 +732,6 @@ void Coordinator::handle_divergence(double vtime, double loss) {
                         FaultKind::kDivergenceRollback, 0,
                         "restored last-good model, lr backed off"});
   curve_.push_back({vtime, epochs_completed(), last_good_loss_});
-}
-
-void Coordinator::maybe_auto_checkpoint() {
-  if (next_checkpoint_vtime_ <= 0.0) return;
-  const double progress = ledger_.max_clock();
-  if (progress < next_checkpoint_vtime_) return;
-  nn::save_model(last_good_model_, config_.fault.checkpoint_path);
-  ++checkpoints_written_;
-  while (next_checkpoint_vtime_ <= progress) {
-    next_checkpoint_vtime_ += config_.fault.checkpoint_interval_vseconds;
-  }
 }
 
 void Coordinator::maybe_eval_checkpoints() {
@@ -859,16 +842,6 @@ bool Coordinator::restore(const TrainingCheckpoint& ckpt, std::string* error) {
     }
     ledger_.restore_stats(wc.stats);
     adaptive_.restore_worker(wc.id, wc.adaptive_batch, wc.adaptive_updates);
-  }
-  // The legacy model-only auto-checkpoint cadence is not persisted (its
-  // output is a single overwritten file); re-seed it past the restored
-  // frontier so it keeps firing on the same grid.
-  if (config_.fault.checkpoint_interval_vseconds > 0.0 &&
-      !config_.fault.checkpoint_path.empty()) {
-    next_checkpoint_vtime_ = config_.fault.checkpoint_interval_vseconds;
-    while (next_checkpoint_vtime_ <= ledger_.max_clock()) {
-      next_checkpoint_vtime_ += config_.fault.checkpoint_interval_vseconds;
-    }
   }
   resumed_ = true;
   return true;
@@ -990,7 +963,7 @@ void Coordinator::write_full_checkpoint() {
 }
 
 msg::WorkerId Coordinator::join_worker(
-    msg::Actor& actor, gpusim::DeviceKind kind,
+    msg::Actor& actor, backend::DeviceKind kind,
     const AdaptiveController::WorkerLimits& limits) {
   msg::WorkerId id = -1;
   {

@@ -67,7 +67,7 @@ class Coordinator final : public msg::Actor {
 
   // Registers a worker before start(). Ids are assigned densely in call
   // order and must match the worker's own id.
-  void add_worker(msg::Actor& actor, gpusim::DeviceKind kind,
+  void add_worker(msg::Actor& actor, backend::DeviceKind kind,
                   const AdaptiveController::WorkerLimits& limits)
       HETSGD_EXCLUDES(mu_);
 
@@ -97,7 +97,7 @@ class Coordinator final : public msg::Actor {
   // mean estimated batch cost of the active workers, and its Algorithm-2
   // update baseline is set to the minimum peer count so the adaptive
   // policy treats it as a peer rather than a straggler.
-  msg::WorkerId join_worker(msg::Actor& actor, gpusim::DeviceKind kind,
+  msg::WorkerId join_worker(msg::Actor& actor, backend::DeviceKind kind,
                             const AdaptiveController::WorkerLimits& limits)
       HETSGD_EXCLUDES(mu_);
 
@@ -192,7 +192,7 @@ class Coordinator final : public msg::Actor {
  private:
   struct WorkerRuntime {
     msg::Actor* actor = nullptr;
-    gpusim::DeviceKind kind = gpusim::DeviceKind::kCpu;
+    backend::DeviceKind kind = backend::DeviceKind::kCpu;
     AdaptiveController::WorkerLimits limits;
     bool busy = false;
     bool waiting = false;   // has an unserved work request
@@ -224,7 +224,6 @@ class Coordinator final : public msg::Actor {
   void maybe_flip_epoch() HETSGD_REQUIRES(mu_);
   void evaluate_loss(double vtime) HETSGD_REQUIRES(mu_);
   void maybe_eval_checkpoints() HETSGD_REQUIRES(mu_);
-  void maybe_auto_checkpoint() HETSGD_REQUIRES(mu_);
   void begin_shutdown() HETSGD_REQUIRES(mu_);
   bool any_busy() const HETSGD_REQUIRES(mu_);
   bool all_finished() const HETSGD_REQUIRES(mu_);
@@ -287,8 +286,8 @@ class Coordinator final : public msg::Actor {
   std::unique_ptr<UtilizationMonitor> monitor_ HETSGD_GUARDED_BY(mu_)
       HETSGD_PT_GUARDED_BY(mu_);
   AdaptiveController adaptive_ HETSGD_GUARDED_BY(mu_);
-  gpusim::PerfModel cpu_perf_;
-  gpusim::PerfModel gpu_perf_;
+  backend::PerfModel cpu_perf_;
+  backend::PerfModel gpu_perf_;
   std::vector<WorkerRuntime> workers_ HETSGD_GUARDED_BY(mu_);
 
   tensor::Index cursor_ HETSGD_GUARDED_BY(mu_) = 0;  // next unassigned example
@@ -326,7 +325,6 @@ class Coordinator final : public msg::Actor {
   nn::Model last_good_model_ HETSGD_GUARDED_BY(mu_);
   double last_good_loss_ HETSGD_GUARDED_BY(mu_) = 0.0;
   bool has_last_good_ HETSGD_GUARDED_BY(mu_) = false;
-  double next_checkpoint_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
 
   // --- full-checkpoint state ----------------------------------------------
   CheckpointManager* ckpt_mgr_ HETSGD_GUARDED_BY(mu_) = nullptr;

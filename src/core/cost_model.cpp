@@ -15,7 +15,7 @@ std::uint64_t model_bytes(const nn::MlpConfig& mlp) {
   return mlp.parameter_count() * sizeof(tensor::Scalar);
 }
 
-double cpu_batch_seconds(const gpusim::PerfModel& perf,
+double cpu_batch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index sub_batch,
                          int lanes) {
   HETSGD_ASSERT(sub_batch >= 1 && lanes >= 1, "bad cpu batch parameters");
@@ -52,7 +52,7 @@ double cpu_batch_intensity(int lanes, int host_threads,
   return occupancy * (0.93 - penalty);
 }
 
-double gpu_batch_seconds(const gpusim::PerfModel& perf,
+double gpu_batch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index batch,
                          double host_merge_bandwidth) {
   HETSGD_ASSERT(batch >= 1, "bad gpu batch size");
@@ -96,7 +96,7 @@ double gpu_batch_seconds(const gpusim::PerfModel& perf,
   return t;
 }
 
-double cpu_epoch_seconds(const gpusim::PerfModel& perf,
+double cpu_epoch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index examples,
                          tensor::Index sub_batch, int lanes) {
   const double batch_cost = cpu_batch_seconds(perf, mlp, sub_batch, lanes);
@@ -106,7 +106,7 @@ double cpu_epoch_seconds(const gpusim::PerfModel& perf,
   return batches * batch_cost;
 }
 
-double gpu_epoch_seconds(const gpusim::PerfModel& perf,
+double gpu_epoch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index examples,
                          tensor::Index batch, double host_merge_bandwidth) {
   const double batch_cost =

@@ -21,7 +21,7 @@ std::uint64_t model_bytes(const nn::MlpConfig& mlp);
 // throughput) and apply one full-model update at the contended
 // update_bandwidth. All lanes run concurrently, so the batch cost is one
 // lane's cost.
-double cpu_batch_seconds(const gpusim::PerfModel& perf,
+double cpu_batch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index sub_batch,
                          int lanes);
 
@@ -39,15 +39,15 @@ double cpu_batch_intensity(int lanes, int host_threads,
 // model at `host_merge_bandwidth`. This mirrors DeviceMlp's per-kernel
 // charges analytically (used for calibration printouts; the worker itself
 // charges the exact per-kernel costs).
-double gpu_batch_seconds(const gpusim::PerfModel& perf,
+double gpu_batch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index batch,
                          double host_merge_bandwidth);
 
 // Modeled seconds for one full epoch of `examples` examples.
-double cpu_epoch_seconds(const gpusim::PerfModel& perf,
+double cpu_epoch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index examples,
                          tensor::Index sub_batch, int lanes);
-double gpu_epoch_seconds(const gpusim::PerfModel& perf,
+double gpu_epoch_seconds(const backend::PerfModel& perf,
                          const nn::MlpConfig& mlp, tensor::Index examples,
                          tensor::Index batch, double host_merge_bandwidth);
 

@@ -72,9 +72,9 @@ bool ElasticPlan::parse(const std::string& spec, ElasticPlan* out,
       double dv = 0.0;
       if (key == "kind") {
         if (value == "cpu") {
-          ev.device = gpusim::DeviceKind::kCpu;
+          ev.device = backend::DeviceKind::kCpu;
         } else if (value == "gpu") {
-          ev.device = gpusim::DeviceKind::kGpu;
+          ev.device = backend::DeviceKind::kGpu;
         } else {
           return fail("bad worker kind — " + kv + " (cpu|gpu)");
         }

@@ -28,7 +28,7 @@ struct ElasticEvent {
   enum class Kind { kJoin, kRetire };
   Kind kind = Kind::kJoin;
   // kJoin: device kind of the new worker.
-  gpusim::DeviceKind device = gpusim::DeviceKind::kGpu;
+  backend::DeviceKind device = backend::DeviceKind::kGpu;
   // kRetire: the worker to retire.
   msg::WorkerId worker = -1;
   // Trigger: fires when the virtual frontier reaches at_vtime. Negative =

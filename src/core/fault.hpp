@@ -180,16 +180,12 @@ struct FaultToleranceConfig {
   bool abort_on_divergence = false;
   double lr_backoff = 0.5;
 
-  // Periodic on-disk auto-checkpoints (nn::save_model of the last-good
-  // snapshot) every interval virtual seconds; 0 or empty path = off.
-  double checkpoint_interval_vseconds = 0.0;
-  std::string checkpoint_path;
-
   // Full crash-consistent checkpoints (model + optimizer + RNG + ledger +
   // adaptive controller) managed by core::CheckpointManager. Empty dir =
-  // off. Cadence reuses checkpoint_interval_vseconds; when the interval is
-  // 0 a full checkpoint is cut at every epoch flip. `checkpoint_retain`
-  // bounds how many checkpoint files are kept (oldest pruned first).
+  // off. Cut every `checkpoint_interval_vseconds` virtual seconds, or at
+  // every epoch flip when the interval is 0. `checkpoint_retain` bounds
+  // how many checkpoint files are kept (oldest pruned first).
+  double checkpoint_interval_vseconds = 0.0;
   std::string checkpoint_dir;
   std::int64_t checkpoint_retain = 3;
 

@@ -35,7 +35,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
           ? options.inner_steps
           : static_cast<std::uint64_t>((n + batch - 1) / batch);
 
-  gpusim::PerfModel perf(cfg.gpu.spec);
+  backend::PerfModel perf(cfg.gpu.spec);
   // Virtual cost of one batch gradient and one full pass on the device.
   const double batch_cost =
       gpu_batch_seconds(perf, cfg.mlp, batch, 0.0);

@@ -203,7 +203,7 @@ TrainingResult Trainer::run_framework() {
                                           coordinator, ExecMode::kHogwild,
                                           config_.real_threads);
     if (!fault_plan.empty()) cpu_worker->set_fault_plan(&fault_plan);
-    coordinator.add_worker(*cpu_worker, gpusim::DeviceKind::kCpu,
+    coordinator.add_worker(*cpu_worker, backend::DeviceKind::kCpu,
                            cpu_limits());
     ++next_id;
   }
@@ -216,7 +216,7 @@ TrainingResult Trainer::run_framework() {
       if (!fault_plan.empty()) {
         gpu_workers.back()->set_fault_plan(&fault_plan);
       }
-      coordinator.add_worker(*gpu_workers.back(), gpusim::DeviceKind::kGpu,
+      coordinator.add_worker(*gpu_workers.back(), backend::DeviceKind::kGpu,
                              gpu_limits());
       ++next_id;
     }
@@ -345,14 +345,14 @@ TrainingResult Trainer::run_framework() {
             HETSGD_LOG_WARN("trainer", "elastic retire of worker %d refused",
                             ev.worker);
           }
-        } else if (ev.device == gpusim::DeviceKind::kCpu) {
+        } else if (ev.device == backend::DeviceKind::kCpu) {
           const auto id =
               static_cast<msg::WorkerId>(coordinator.worker_count());
           auto w = std::make_unique<Worker>(id, config_, working, model,
                                             coordinator, ExecMode::kHogwild,
                                             config_.real_threads);
           if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
-          if (coordinator.join_worker(*w, gpusim::DeviceKind::kCpu,
+          if (coordinator.join_worker(*w, backend::DeviceKind::kCpu,
                                       cpu_limits()) >= 0) {
             w->start();
             joined_cpu.push_back(std::move(w));
@@ -365,7 +365,7 @@ TrainingResult Trainer::run_framework() {
                                             /*real_threads=*/1,
                                             static_cast<int>(id));
           if (!fault_plan.empty()) w->set_fault_plan(&fault_plan);
-          if (coordinator.join_worker(*w, gpusim::DeviceKind::kGpu,
+          if (coordinator.join_worker(*w, backend::DeviceKind::kGpu,
                                       gpu_limits()) >= 0) {
             w->start();
             joined_gpu.push_back(std::move(w));
@@ -393,9 +393,9 @@ TrainingResult Trainer::run_framework() {
   result.total_vtime = coordinator.final_vtime();
   result.epochs = coordinator.epochs_completed();
   result.cpu_updates =
-      coordinator.ledger().updates_by_kind(gpusim::DeviceKind::kCpu);
+      coordinator.ledger().updates_by_kind(backend::DeviceKind::kCpu);
   result.gpu_updates =
-      coordinator.ledger().updates_by_kind(gpusim::DeviceKind::kGpu);
+      coordinator.ledger().updates_by_kind(backend::DeviceKind::kGpu);
   const double horizon = std::max(result.total_vtime, 1e-12);
   for (const auto& stats : coordinator.ledger().all()) {
     WorkerSummary w;
@@ -465,7 +465,7 @@ TrainingResult Trainer::run_reference() {
 
   WorkerSummary w;
   w.name = "tensorflow-gpu";
-  w.kind = gpusim::DeviceKind::kGpu;
+  w.kind = backend::DeviceKind::kGpu;
   w.updates = ref.updates;
   w.mean_utilization = ref.mean_utilization;
   result.workers.push_back(std::move(w));

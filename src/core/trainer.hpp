@@ -20,7 +20,7 @@ namespace hetsgd::core {
 
 struct WorkerSummary {
   std::string name;
-  gpusim::DeviceKind kind = gpusim::DeviceKind::kCpu;
+  backend::DeviceKind kind = backend::DeviceKind::kCpu;
   std::uint64_t updates = 0;
   std::uint64_t batches = 0;
   std::uint64_t examples = 0;

@@ -11,7 +11,7 @@
 namespace hetsgd::core {
 
 void UpdateLedger::register_worker(msg::WorkerId id, std::string name,
-                                   gpusim::DeviceKind kind,
+                                   backend::DeviceKind kind,
                                    tensor::Index initial_batch) {
   MutexLock lock(mu_);
   HETSGD_ASSERT(id == static_cast<msg::WorkerId>(workers_.size()),
@@ -144,7 +144,7 @@ std::uint64_t UpdateLedger::total_examples() const {
   return total;
 }
 
-std::uint64_t UpdateLedger::updates_by_kind(gpusim::DeviceKind kind) const {
+std::uint64_t UpdateLedger::updates_by_kind(backend::DeviceKind kind) const {
   MutexLock lock(mu_);
   std::uint64_t total = 0;
   for (const auto& w : workers_) {

@@ -38,7 +38,7 @@ struct LossPoint {
 struct WorkerStats {
   msg::WorkerId id = 0;
   std::string name;
-  gpusim::DeviceKind kind = gpusim::DeviceKind::kCpu;
+  backend::DeviceKind kind = backend::DeviceKind::kCpu;
 
   std::uint64_t updates = 0;   // cumulative model updates (u^E)
   std::uint64_t batches = 0;   // ExecuteWork messages completed
@@ -62,7 +62,7 @@ class UpdateLedger {
  public:
   // Registers a worker; ids must be dense [0, n).
   void register_worker(msg::WorkerId id, std::string name,
-                       gpusim::DeviceKind kind, tensor::Index initial_batch)
+                       backend::DeviceKind kind, tensor::Index initial_batch)
       HETSGD_EXCLUDES(mu_);
 
   // Snapshot of one worker's stats (copy, safe to hold across updates).
@@ -104,7 +104,7 @@ class UpdateLedger {
 
   std::uint64_t total_updates() const HETSGD_EXCLUDES(mu_);
   std::uint64_t total_examples() const HETSGD_EXCLUDES(mu_);
-  std::uint64_t updates_by_kind(gpusim::DeviceKind kind) const
+  std::uint64_t updates_by_kind(backend::DeviceKind kind) const
       HETSGD_EXCLUDES(mu_);
 
   // Smallest/largest update count among workers *other than* `id` —

@@ -21,9 +21,8 @@ using tensor::Index;
 
 std::unique_ptr<backend::Backend> make_device_backend(
     const TrainingConfig& config) {
-  auto b = backend::make_backend(config.backend, config.gpu.spec);
-  HETSGD_ASSERT(b != nullptr, "unknown --backend name");
-  return b;
+  return std::make_unique<backend::CpuBackend>(
+      config.gpu.spec, backend::CpuBackend::Mode::kDevice);
 }
 
 namespace {

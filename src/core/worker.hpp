@@ -12,10 +12,10 @@
 //    charged analytically per batch through the cost model.
 //
 //  * kReplica — mini-batch SGD against a private device replica (§V-A,
-//    the GPU worker handler). One Backend instance (--backend: the gpusim
-//    device by default, or the host CpuBackend in device mode) holds the
-//    replica; every batch uploads the model, runs the kernel sequence,
-//    downloads the gradient, and merges on the host. Transfer faults are
+//    the GPU worker handler). A device-mode CpuBackend charged at
+//    config.gpu.spec holds the replica; every batch uploads the model,
+//    runs the kernel sequence, downloads the gradient, and merges on the
+//    host. Transfer faults are
 //    retried with capped exponential virtual-time backoff before
 //    escalating to the coordinator.
 //
@@ -43,10 +43,8 @@ namespace hetsgd::core {
 // DeviceKind (kHogwild <-> kCpu, kReplica <-> kGpu).
 enum class ExecMode { kHogwild, kReplica };
 
-// Builds the replica-mode device backend selected by `config.backend`
-// ("sim" by default; see backend::registered_backends()). The modeled
-// hardware is always config.gpu.spec — the flag chooses the execution
-// engine behind it, so virtual-time trajectories are backend-independent.
+// Builds the replica-mode device backend: a device-mode CpuBackend that
+// charges virtual time at config.gpu.spec's speed.
 std::unique_ptr<backend::Backend> make_device_backend(
     const TrainingConfig& config);
 

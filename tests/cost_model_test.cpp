@@ -28,7 +28,7 @@ TEST(CostModel, ModelBytes) {
 }
 
 TEST(CostModel, CpuBatchMonotoneInSubBatch) {
-  gpusim::PerfModel perf(gpusim::xeon56_spec());
+  backend::PerfModel perf(backend::xeon56_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   double prev = 0;
   for (tensor::Index sub : {1, 2, 8, 32, 64}) {
@@ -39,7 +39,7 @@ TEST(CostModel, CpuBatchMonotoneInSubBatch) {
 }
 
 TEST(CostModel, CpuWavesBeyondSimulatedLanes) {
-  gpusim::PerfModel perf(gpusim::xeon56_spec());
+  backend::PerfModel perf(backend::xeon56_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   double one_wave = cpu_batch_seconds(perf, mlp, 1, 56);
   double two_waves = cpu_batch_seconds(perf, mlp, 1, 57);
@@ -47,7 +47,7 @@ TEST(CostModel, CpuWavesBeyondSimulatedLanes) {
 }
 
 TEST(CostModel, GpuBatchMonotone) {
-  gpusim::PerfModel perf(gpusim::v100_spec());
+  backend::PerfModel perf(backend::v100_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   double prev = 0;
   for (tensor::Index b : {64, 256, 1024, 4096, 8192}) {
@@ -58,7 +58,7 @@ TEST(CostModel, GpuBatchMonotone) {
 }
 
 TEST(CostModel, GpuLargeBatchAmortizesOverheads) {
-  gpusim::PerfModel perf(gpusim::v100_spec());
+  backend::PerfModel perf(backend::v100_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   // Per-example cost must drop sharply with batch size — the reason the
   // paper keeps large batches on the GPU.
@@ -79,7 +79,7 @@ TEST(CostModel, IntensityBounds) {
 }
 
 TEST(CostModel, EpochSeconds) {
-  gpusim::PerfModel cpu(gpusim::xeon56_spec());
+  backend::PerfModel cpu(backend::xeon56_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   double one = cpu_epoch_seconds(cpu, mlp, 56 * 100, 1, 56);
   double batch = cpu_batch_seconds(cpu, mlp, 1, 56);
@@ -91,8 +91,8 @@ TEST(CostModel, EpochSeconds) {
 // measured 236-317x band (§VII-B: "Hogwild CPU takes considerably longer —
 // from 236x to 317x — to execute an SGD epoch than GPU").
 TEST(CostModel, PaperEpochRatioWithinMeasuredBand) {
-  gpusim::PerfModel cpu(gpusim::xeon56_spec());
-  gpusim::PerfModel gpu(gpusim::v100_spec());
+  backend::PerfModel cpu(backend::xeon56_spec());
+  backend::PerfModel gpu(backend::v100_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   const tensor::Index n = 581012;
   const double cpu_epoch = cpu_epoch_seconds(cpu, mlp, n, 1, 56);
@@ -106,8 +106,8 @@ TEST(CostModel, PaperEpochRatioWithinMeasuredBand) {
 // GPU — the foundation of the heterogeneous algorithms (§II: "small
 // batches generate more model updates, thus faster convergence").
 TEST(CostModel, CpuUpdateRateExceedsGpu) {
-  gpusim::PerfModel cpu(gpusim::xeon56_spec());
-  gpusim::PerfModel gpu(gpusim::v100_spec());
+  backend::PerfModel cpu(backend::xeon56_spec());
+  backend::PerfModel gpu(backend::v100_spec());
   nn::MlpConfig mlp = paper_covtype_mlp();
   const double cpu_updates_per_sec =
       56.0 / cpu_batch_seconds(cpu, mlp, 1, 56);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "nn/serialize.hpp"
@@ -272,18 +273,20 @@ TEST(FaultRecovery, ExhaustedTransferRetriesEscalateToCoordinator) {
 }
 
 TEST(FaultRecovery, AutoCheckpointWritesLoadableSnapshots) {
-  const std::string path = temp_path("hetsgd_fault_autockpt.ckpt");
+  const std::string dir = temp_path("hetsgd_fault_autockpt");
+  std::filesystem::remove_all(dir);
   TrainingConfig config = small_config();
   config.fault.checkpoint_interval_vseconds = 0.002;
-  config.fault.checkpoint_path = path;
+  config.fault.checkpoint_dir = dir;
   Trainer trainer(small_dataset(), config);
   TrainingResult r = trainer.run();
   EXPECT_GE(r.checkpoints_written, 1u);
   std::string error;
-  std::optional<nn::Model> restored = nn::try_load_model(path, &error);
+  std::optional<TrainingCheckpoint> restored =
+      CheckpointManager::load_latest(dir, &error);
   ASSERT_TRUE(restored.has_value()) << error;
-  EXPECT_TRUE(restored->all_finite());
-  std::remove(path.c_str());
+  EXPECT_TRUE(restored->model.all_finite());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FaultRecovery, FaultEventsCsvIsWritten) {

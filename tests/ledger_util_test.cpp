@@ -21,8 +21,8 @@ msg::ScheduleWork report(msg::WorkerId id, std::uint64_t updates,
 
 TEST(UpdateLedger, RegisterAndReport) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "cpu", gpusim::DeviceKind::kCpu, 56);
-  ledger.register_worker(1, "gpu", gpusim::DeviceKind::kGpu, 8192);
+  ledger.register_worker(0, "cpu", backend::DeviceKind::kCpu, 56);
+  ledger.register_worker(1, "gpu", backend::DeviceKind::kGpu, 8192);
   EXPECT_EQ(ledger.worker_count(), 2u);
   EXPECT_EQ(ledger.stats(0).current_batch, 56);
 
@@ -35,22 +35,22 @@ TEST(UpdateLedger, RegisterAndReport) {
   EXPECT_EQ(ledger.stats(0).examples, 112u);
   EXPECT_EQ(ledger.total_updates(), 113u);
   EXPECT_EQ(ledger.total_examples(), 112u + 8192u);
-  EXPECT_EQ(ledger.updates_by_kind(gpusim::DeviceKind::kCpu), 112u);
-  EXPECT_EQ(ledger.updates_by_kind(gpusim::DeviceKind::kGpu), 1u);
+  EXPECT_EQ(ledger.updates_by_kind(backend::DeviceKind::kCpu), 112u);
+  EXPECT_EQ(ledger.updates_by_kind(backend::DeviceKind::kGpu), 1u);
 }
 
 TEST(UpdateLedger, InitialRequestDoesNotCountBatch) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "cpu", gpusim::DeviceKind::kCpu, 56);
+  ledger.register_worker(0, "cpu", backend::DeviceKind::kCpu, 56);
   ledger.on_report(report(0, 0, 0.0, 0.0, 0.0, 0));  // examples == 0
   EXPECT_EQ(ledger.stats(0).batches, 0u);
 }
 
 TEST(UpdateLedger, OtherUpdateRange) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "a", gpusim::DeviceKind::kCpu, 1);
-  ledger.register_worker(1, "b", gpusim::DeviceKind::kGpu, 1);
-  ledger.register_worker(2, "c", gpusim::DeviceKind::kGpu, 1);
+  ledger.register_worker(0, "a", backend::DeviceKind::kCpu, 1);
+  ledger.register_worker(1, "b", backend::DeviceKind::kGpu, 1);
+  ledger.register_worker(2, "c", backend::DeviceKind::kGpu, 1);
   ledger.on_report(report(0, 10, 0, 0, 0, 1));
   ledger.on_report(report(1, 20, 0, 0, 0, 1));
   ledger.on_report(report(2, 30, 0, 0, 0, 1));
@@ -65,15 +65,15 @@ TEST(UpdateLedger, OtherUpdateRange) {
 
 TEST(UpdateLedger, OtherUpdateRangeSingleWorker) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "solo", gpusim::DeviceKind::kCpu, 1);
+  ledger.register_worker(0, "solo", backend::DeviceKind::kCpu, 1);
   std::uint64_t lo, hi;
   EXPECT_FALSE(ledger.other_update_range(0, lo, hi));
 }
 
 TEST(UpdateLedger, ClockRange) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "a", gpusim::DeviceKind::kCpu, 1);
-  ledger.register_worker(1, "b", gpusim::DeviceKind::kGpu, 1);
+  ledger.register_worker(0, "a", backend::DeviceKind::kCpu, 1);
+  ledger.register_worker(1, "b", backend::DeviceKind::kGpu, 1);
   ledger.on_report(report(0, 1, 0.5, 0.5, 0, 1));
   ledger.on_report(report(1, 1, 2.0, 2.0, 0, 1));
   EXPECT_DOUBLE_EQ(ledger.min_clock(), 0.5);
@@ -82,7 +82,7 @@ TEST(UpdateLedger, ClockRange) {
 
 TEST(UpdateLedger, MonotonicityEnforced) {
   UpdateLedger ledger;
-  ledger.register_worker(0, "a", gpusim::DeviceKind::kCpu, 1);
+  ledger.register_worker(0, "a", backend::DeviceKind::kCpu, 1);
   ledger.on_report(report(0, 10, 1.0, 1.0, 0, 1));
   EXPECT_DEATH(ledger.on_report(report(0, 5, 2.0, 2.0, 0, 1)), "monotone");
   EXPECT_DEATH(ledger.on_report(report(0, 20, 2.0, 0.5, 0, 1)), "backwards");
@@ -90,7 +90,7 @@ TEST(UpdateLedger, MonotonicityEnforced) {
 
 TEST(UpdateLedger, DenseRegistrationEnforced) {
   UpdateLedger ledger;
-  EXPECT_DEATH(ledger.register_worker(1, "x", gpusim::DeviceKind::kCpu, 1),
+  EXPECT_DEATH(ledger.register_worker(1, "x", backend::DeviceKind::kCpu, 1),
                "densely");
 }
 

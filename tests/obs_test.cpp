@@ -369,8 +369,8 @@ TEST(MetricsExporterTest, ServesPrometheusScrape) {
 // -fsanitize=thread) proves the interleaving clean.
 TEST(UpdateLedgerScrapeTest, ConcurrentScrapeWhileReporting) {
   core::UpdateLedger ledger;
-  ledger.register_worker(0, "cpu", gpusim::DeviceKind::kCpu, 56);
-  ledger.register_worker(1, "gpu", gpusim::DeviceKind::kGpu, 1024);
+  ledger.register_worker(0, "cpu", backend::DeviceKind::kCpu, 56);
+  ledger.register_worker(1, "gpu", backend::DeviceKind::kGpu, 1024);
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "gpusim/virtual_clock.hpp"  // hetsgd-lint: allow(gpusim-include) gpusim subsystem unit test
-#include "gpusim/stream.hpp"  // hetsgd-lint: allow(gpusim-include) gpusim subsystem unit test
 
 namespace hetsgd::gpusim {
 namespace {
@@ -27,31 +26,6 @@ TEST(VirtualClock, AdvanceToNeverGoesBack) {
 TEST(VirtualClock, NegativeAdvanceDies) {
   VirtualClock clock;
   EXPECT_DEATH(clock.advance(-1.0), "negative");
-}
-
-TEST(Stream, FifoCompletionTimes) {
-  Stream s(0);
-  double t1 = s.enqueue(1.0, 0.0);
-  double t2 = s.enqueue(1.0, 0.0);  // issued at 0 but queued behind op 1
-  EXPECT_DOUBLE_EQ(t1, 1.0);
-  EXPECT_DOUBLE_EQ(t2, 2.0);
-  EXPECT_DOUBLE_EQ(s.completion_time(), 2.0);
-}
-
-TEST(Stream, RespectsEarliestStart) {
-  Stream s(0);
-  double t = s.enqueue(1.0, 10.0);
-  EXPECT_DOUBLE_EQ(t, 11.0);
-}
-
-TEST(Event, RecordsStreamPosition) {
-  Stream s(0);
-  Event start, stop;
-  start.record(s);
-  s.enqueue(2.5, 0.0);
-  stop.record(s);
-  EXPECT_TRUE(stop.recorded());
-  EXPECT_DOUBLE_EQ(Event::elapsed(start, stop), 2.5);
 }
 
 TEST(PerfModel, EfficiencyMonotoneInBatch) {

@@ -3,7 +3,6 @@
 #include "core/trainer.hpp"
 
 #include <cmath>
-#include <cstdlib>
 
 #include <gtest/gtest.h>
 
@@ -36,9 +35,6 @@ TrainingConfig small_config(Algorithm a) {
   config.gpu.max_batch = 256;
   config.cpu.sim_lanes = 8;  // keep real work small in tests
   config.real_threads = 2;
-  // CI runs this suite once per registered backend: HETSGD_BACKEND picks
-  // the execution engine for device workers (scripts/check_all.sh gate 1).
-  if (const char* env = std::getenv("HETSGD_BACKEND")) config.backend = env;
   return config;
 }
 
@@ -174,7 +170,7 @@ TEST(Trainer, AdaptiveKeepsBatchesWithinThresholds) {
   Trainer trainer(small_dataset(), config);
   TrainingResult r = trainer.run();
   for (const auto& w : r.workers) {
-    if (w.kind == gpusim::DeviceKind::kGpu) {
+    if (w.kind == backend::DeviceKind::kGpu) {
       EXPECT_GE(w.final_batch, config.gpu.min_batch);
       EXPECT_LE(w.final_batch, config.gpu.max_batch);
     } else {
@@ -248,7 +244,7 @@ TEST(Trainer, GpuWorkerReportsStalenessUnderConcurrency) {
   Trainer trainer(small_dataset(), config);
   TrainingResult r = trainer.run();
   for (const auto& w : r.workers) {
-    if (w.kind == gpusim::DeviceKind::kGpu) {
+    if (w.kind == backend::DeviceKind::kGpu) {
       // CPU lanes race with the GPU's upload->merge window; some staleness
       // must be observed across the run.
       EXPECT_GE(w.max_staleness, 0.0);
@@ -288,7 +284,7 @@ TEST(Trainer, MultiGpuWorkersAllContribute) {
   TrainingResult r = trainer.run();
   std::size_t gpu_workers = 0;
   for (const auto& w : r.workers) {
-    if (w.kind == gpusim::DeviceKind::kGpu) {
+    if (w.kind == backend::DeviceKind::kGpu) {
       ++gpu_workers;
       EXPECT_GT(w.updates, 0u) << w.name;
     }
@@ -318,7 +314,7 @@ TEST(Trainer, MultiGpuAdaptiveStaysWithinThresholds) {
   Trainer trainer(small_dataset(), config);
   TrainingResult r = trainer.run();
   for (const auto& w : r.workers) {
-    if (w.kind == gpusim::DeviceKind::kGpu) {
+    if (w.kind == backend::DeviceKind::kGpu) {
       EXPECT_GE(w.final_batch, config.gpu.min_batch);
       EXPECT_LE(w.final_batch, config.gpu.max_batch);
     }

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -82,12 +81,6 @@ struct Rig {
     c.cpu.sim_lanes = 4;
     c.gpu.max_batch = 128;
     c.gpu.batch = 128;
-    // CI runs this suite once per registered backend: the leg exports
-    // HETSGD_BACKEND and every assertion below must hold unchanged, since
-    // trajectories (and so virtual time) are backend-independent.
-    if (const char* env = std::getenv("HETSGD_BACKEND")) {
-      c.backend = env;
-    }
     return c;
   }
 

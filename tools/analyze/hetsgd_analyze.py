@@ -1496,10 +1496,6 @@ def rule_atomic_discipline(root: str, index: Index, waivers: WaiverTable,
             f"benign non-atomic races belong in scripts/tsan.supp"))
 
 
-def _atomic_receiver_site(path, toks, i):  # kept for symmetry; unused
-    return None
-
-
 # (receiver extraction lives on FileScanner so it sees the token stream)
 def _scanner_atomic_receiver(self: FileScanner, toks: list[Tok],
                              i: int) -> AtomicSite | None:

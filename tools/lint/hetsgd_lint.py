@@ -212,7 +212,8 @@ def in_ckpt_scope(root: str, path: str) -> bool:
 
 def in_gpusim_seam(root: str, path: str) -> bool:
     """The only directories allowed to include gpusim headers directly: the
-    backend seam (SimBackend wraps the device) and gpusim itself."""
+    backend seam (device_model.hpp re-exports the device model) and gpusim
+    itself."""
     rel = os.path.relpath(path, root)
     return (rel.startswith(os.path.join("src", "backend") + os.sep)
             or rel.startswith(os.path.join("src", "gpusim") + os.sep))
