@@ -14,6 +14,11 @@
 //               consumer is the only reader and writer; the hand-off from
 //               producers happens through Node::next (release/acquire).
 //   - closed_, sleeping_ : atomics with acquire/release pairing.
+//   - in_flight_ : producers currently inside push(). It and
+//     closed_ form a Dekker pair (seq_cst on both sides): a push either
+//     sees the close and is rejected, or the consumer's final drain sees
+//     the push in flight and waits for it to link. An accepted push is
+//     therefore never stranded behind a drained-and-closed nullopt.
 //   - wake_mutex_ + wake_cv_ : guard ONLY the sleep/wake protocol. No data
 //     field is guarded by wake_mutex_; the lock closes the classic
 //     missed-wakeup window between the consumer's empty-check and its wait.
@@ -24,6 +29,7 @@
 #include <condition_variable>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "common/macros.hpp"
@@ -57,7 +63,11 @@ class MpscQueue {
 
   // Multi-producer push. Returns false if the queue has been closed.
   bool push(T value) HETSGD_EXCLUDES(wake_mutex_) {
-    if (closed_.load(std::memory_order_acquire)) return false;
+    in_flight_.fetch_add(1, std::memory_order_seq_cst);
+    if (closed_.load(std::memory_order_seq_cst)) {
+      in_flight_.fetch_sub(1, std::memory_order_release);
+      return false;
+    }
     Node* node = new Node(std::move(value));
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
@@ -67,6 +77,9 @@ class MpscQueue {
       MutexLock lock(wake_mutex_);
       wake_cv_.notify_one();
     }
+    // Last touch of the queue: a drained-after-close consumer may destroy
+    // it as soon as this reaches zero.
+    in_flight_.fetch_sub(1, std::memory_order_release);
     return true;
   }
 
@@ -87,11 +100,10 @@ class MpscQueue {
   std::optional<T> pop() HETSGD_EXCLUDES(wake_mutex_) {
     for (;;) {
       if (auto v = try_pop()) return v;
-      if (closed_.load(std::memory_order_acquire)) {
+      if (closed_.load(std::memory_order_seq_cst)) {
         // Final drain: a producer may have completed a push between our
-        // try_pop and the closed check.
-        if (auto v = try_pop()) return v;
-        return std::nullopt;
+        // try_pop and the closed check, or still be linking one.
+        return drain_after_close();
       }
       sleep_briefly();
     }
@@ -106,17 +118,14 @@ class MpscQueue {
     const auto deadline = std::chrono::steady_clock::now() + timeout;
     for (;;) {
       if (auto v = try_pop()) return v;
-      if (closed_.load(std::memory_order_acquire)) {
-        if (auto v = try_pop()) return v;
-        return std::nullopt;
-      }
+      if (closed_.load(std::memory_order_seq_cst)) return drain_after_close();
       if (std::chrono::steady_clock::now() >= deadline) return std::nullopt;
       sleep_briefly();
     }
   }
 
   void close() HETSGD_EXCLUDES(wake_mutex_) {
-    closed_.store(true, std::memory_order_release);
+    closed_.store(true, std::memory_order_seq_cst);
     MutexLock lock(wake_mutex_);
     wake_cv_.notify_all();
   }
@@ -130,6 +139,17 @@ class MpscQueue {
     std::atomic<Node*> next;
     T value{};
   };
+
+  // Called once closed_ has been seen: waits out pushes still inside
+  // push() (each a few instructions from returning), then pops what is
+  // left. nullopt here means closed
+  // and fully drained: no later push can be accepted.
+  std::optional<T> drain_after_close() {
+    while (in_flight_.load(std::memory_order_seq_cst) != 0) {
+      std::this_thread::yield();
+    }
+    return try_pop();
+  }
 
   bool empty_unsynchronized() const {
     return tail_->next.load(std::memory_order_acquire) == nullptr;
@@ -154,6 +174,7 @@ class MpscQueue {
   alignas(hetsgd::kCacheLineSize) Node* tail_;               // consumer only
   std::atomic<bool> closed_{false};
   std::atomic<bool> sleeping_{false};
+  std::atomic<int> in_flight_{0};  // producers inside push()
   AnnotatedMutex wake_mutex_;
   std::condition_variable_any wake_cv_;  // waits directly on wake_mutex_
 };

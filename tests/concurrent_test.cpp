@@ -175,6 +175,39 @@ TEST(MpscQueue, ClosePopForInterleavingStress) {
   }
 }
 
+// A push that returns true must reach the consumer even when close()
+// lands while the producer is between its closed check and linking its
+// node: the consumer's drained-and-closed nullopt may only come after
+// every accepted push is visible. Many short rounds with close racing the
+// producers make that window likely to be hit at least once.
+TEST(MpscQueue, PushAcceptedAcrossCloseIsNeverLost) {
+  constexpr int kRounds = 4000;
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 40;
+  int lost_rounds = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    MpscQueue<int> q;
+    std::atomic<int> pushed{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&] {
+        for (int i = 0; i < kPerProducer; ++i) {
+          if (q.push(i)) pushed.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    int popped = 0;
+    std::thread consumer([&] {
+      while (q.pop().has_value()) ++popped;
+    });
+    q.close();
+    for (auto& t : producers) t.join();
+    consumer.join();
+    if (popped != pushed.load()) ++lost_rounds;
+  }
+  EXPECT_EQ(lost_rounds, 0);
+}
+
 TEST(SpscRing, PushPop) {
   SpscRing<int> ring(4);
   EXPECT_TRUE(ring.try_push(1));
