@@ -36,7 +36,7 @@ void BM_GradientSingleExample(benchmark::State& state) {
   nn::Gradient grad = nn::make_zero_gradient(model);
   tensor::Index i = 0;
   for (auto _ : state) {
-    auto x = d.batch_features(i % 256, 1);
+    auto x = d.batch(i % 256, 1);
     auto y = d.batch_labels(i % 256, 1);
     nn::compute_gradient(model, x, y, ws, grad);
     nn::sgd_step(model, grad, 1e-4);
@@ -70,7 +70,7 @@ void BM_HogwildLanes(benchmark::State& state) {
       for (std::size_t k = 0; k < kPerLane; ++k) {
         const tensor::Index row =
             static_cast<tensor::Index>((lane * kPerLane + k) % 1024);
-        auto x = d.batch_features(row, 1);
+        auto x = d.batch(row, 1);
         auto y = d.batch_labels(row, 1);
         nn::compute_gradient(model, x, y, ws[lane], grads[lane]);
         nn::sgd_step(model, grads[lane], 1e-4);

@@ -33,10 +33,17 @@ int main(int argc, char** argv) {
 
     // Measure density of the generated set.
     std::uint64_t nonzero = 0;
-    for (tensor::Index r = 0; r < d.example_count(); ++r) {
-      const tensor::Scalar* row = d.features().row(r);
-      for (tensor::Index c = 0; c < d.dim(); ++c) {
-        if (row[c] != 0.0) ++nonzero;
+    if (d.sparse()) {
+      const tensor::CsrView rows = d.csr().view();
+      for (tensor::Index p = 0; p < rows.nnz(); ++p) {
+        if (rows.val()[p] != 0.0) ++nonzero;
+      }
+    } else {
+      for (tensor::Index r = 0; r < d.example_count(); ++r) {
+        const tensor::Scalar* row = d.features().row(r);
+        for (tensor::Index c = 0; c < d.dim(); ++c) {
+          if (row[c] != 0.0) ++nonzero;
+        }
       }
     }
     const double density =

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     const tensor::Index batch = 256;
     const tensor::Index begin =
         (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(model, split.train.batch_features(begin, batch),
+    nn::compute_gradient(model, split.train.batch(begin, batch),
                          split.train.batch_labels(begin, batch), ws, grad);
     nn::sgd_step(model, grad, 0.3);
   }
@@ -102,14 +102,15 @@ int main(int argc, char** argv) {
     const tensor::Index batch = 256;
     const tensor::Index begin =
         (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(resumed, split.train.batch_features(begin, batch),
+    nn::compute_gradient(resumed, split.train.batch(begin, batch),
                          split.train.batch_labels(begin, batch), ws, grad);
     nn::sgd_step(resumed, grad, 0.3);
   }
 
   // Held-out evaluation.
   nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      resumed, split.test.features().view(), split.test.labels(), ws);
+      resumed, split.test.batch(0, split.test.example_count()),
+      split.test.labels(), ws);
   std::printf("\nheld-out evaluation (%llu examples):\n",
               static_cast<unsigned long long>(cm.total()));
   std::printf("  accuracy: %.1f%%   macro-F1: %.3f\n", 100.0 * cm.accuracy(),

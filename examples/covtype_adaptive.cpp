@@ -64,16 +64,19 @@ int main(int argc, char** argv) {
   config.obs = obs_options;
 
   // Budget: enough virtual time for the GPU alone to do `budget` epochs.
+  // The loss is evaluated every 10/12 of such an epoch (12 points over the
+  // default budget). The interval must not depend on --budget: the resume
+  // fingerprint hashes it, and resuming with a longer budget is the point.
+  constexpr double kEvalEveryGpuEpochs = 10.0 / 12.0;
   core::TrainingConfig probe = config;
   probe.mlp.input_dim = dataset.dim();
   probe.mlp.num_classes = dataset.num_classes();
   backend::PerfModel gpu_perf(config.gpu.spec);
-  config.time_budget_vseconds =
-      gpu_epochs_budget *
-      core::gpu_epoch_seconds(gpu_perf, probe.mlp, dataset.example_count(),
-                              config.gpu.batch,
-                              config.gpu.host_merge_bandwidth);
-  config.eval_interval_vseconds = config.time_budget_vseconds / 12.0;
+  const double gpu_epoch_vseconds = core::gpu_epoch_seconds(
+      gpu_perf, probe.mlp, dataset.example_count(), config.gpu.batch,
+      config.gpu.host_merge_bandwidth);
+  config.time_budget_vseconds = gpu_epochs_budget * gpu_epoch_vseconds;
+  config.eval_interval_vseconds = kEvalEveryGpuEpochs * gpu_epoch_vseconds;
 
   core::Trainer trainer(std::move(dataset), config);
   core::TrainingResult r = trainer.run();

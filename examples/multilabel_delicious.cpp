@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   Index cursor = 0;
   for (std::int64_t step = 0; step < steps; ++step) {
     if (cursor + batch > dataset.example_count()) cursor = 0;
-    auto x = dataset.batch_features(cursor, batch);
+    auto x = dataset.batch(cursor, batch);
     auto t = targets.rows_view(cursor, batch);
     const double loss =
         nn::compute_gradient_bce(model, x, t, ws, grad);
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
 
   // Tag-recall check: does the trained model rank the true primary tag
   // highly?
-  nn::forward(model, dataset.batch_features(0, 256), ws);
+  nn::forward(model, dataset.batch(0, 256), ws);
   auto logits = ws.logits().rows_view(0, 256);
   Index hits = 0;
   for (Index i = 0; i < 256; ++i) {
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   std::vector<std::int32_t> wide_labels(static_cast<std::size_t>(batch), 0);
   double t0 = device_mlp.upload_model(wide_model, 0.0);
   double done = t0;
-  device_mlp.compute_gradient(dataset.batch_features(0, batch), wide_labels,
+  device_mlp.compute_gradient(dataset.batch(0, batch), wide_labels,
                               t0, &done);
   std::printf("simulated V100, one %lld-example batch with 983-way output: "
               "%.3f ms of device time\n",

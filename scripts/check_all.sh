@@ -6,6 +6,7 @@
 # Gates, in order (each prints PASS/SKIP and the script fails on the first
 # failure):
 #   1. gcc/default build, -Werror, full ctest        (tier-1, always)
+#   1b. gcc build with tracing compiled out, -Werror (always)
 #   2. clang build with -Wthread-safety -Werror      (skipped if no clang++)
 #   3. clang-tidy, repo profile                      (skipped if absent)
 #   4. hetsgd-lint over compile_commands.json        (always)
@@ -43,6 +44,16 @@ cmake -B build -S . -DHETSGD_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 echo "gate 1: PASS"
+
+# --- 1b. tracing compiled out, warnings-as-errors ---------------------------
+# -DHETSGD_TRACE=OFF removes every probe, which changes what inlines into
+# the hot paths and with it GCC's flow-sensitive warnings
+# (-Wmaybe-uninitialized fired on msg::Envelope moves only in this
+# configuration). Build every target that way too.
+note "gate 1b: build with tracing compiled out (-Werror)"
+cmake -B build-notrace -S . -DHETSGD_WERROR=ON -DHETSGD_TRACE=OFF >/dev/null
+cmake --build build-notrace -j"$JOBS"
+echo "gate 1b: PASS"
 
 # --- 2. clang thread-safety analysis ---------------------------------------
 # This is the leg that *proves* the GUARDED_BY/REQUIRES annotations:

@@ -27,6 +27,7 @@
 
 #include "backend/device_model.hpp"
 #include "nn/activation.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
 
@@ -101,6 +102,12 @@ class Backend {
   // backends rebind `dst` to alias `x` directly (no copy, no charge).
   virtual double stage_batch(tensor::ConstMatrixView x, Buffer& dst,
                              std::uint64_t extra_bytes, double issue) = 0;
+  // The same for a CSR batch, which only the csr_* kernels below read.
+  // Zero-copy backends alias the CSR rows in place; device backends copy
+  // the slice. The charge is the dense stage_batch's: x.rows() * x.cols()
+  // values plus `extra_bytes`, whatever the nonzero count (DESIGN.md §15).
+  virtual double stage_csr_batch(const tensor::CsrView& x, Buffer& dst,
+                                 std::uint64_t extra_bytes, double issue) = 0;
 
   // --- kernels -----------------------------------------------------------
   // Each kernel operates on the first `batch` rows of its batch-shaped
@@ -113,6 +120,16 @@ class Backend {
   virtual double gemm_bias_act(const Buffer& x, const Buffer& w,
                                const Buffer& bias, const Buffer& out,
                                tensor::Index batch, tensor::Epilogue epilogue,
+                               double issue) = 0;
+  // The sparse twins of gemm_bias_act and matmul_tn, for an `x` staged by
+  // stage_csr_batch (layer 0 of a CSR dataset). Same math to rounding;
+  // each charges exactly its dense twin's PerfModel cost.
+  virtual double csr_bias_act(const Buffer& x, const Buffer& w,
+                              const Buffer& bias, const Buffer& out,
+                              tensor::Index batch, tensor::Epilogue epilogue,
+                              double issue) = 0;
+  virtual double csr_matmul_tn(const Buffer& delta, const Buffer& x,
+                               tensor::Index batch, const Buffer& grad_w,
                                double issue) = 0;
   // Fused softmax + cross-entropy: writes dLoss/dlogits into `dlogits`,
   // stores the mean loss into *loss, and charges the kernel plus the

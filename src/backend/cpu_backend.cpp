@@ -48,8 +48,15 @@ CpuBackend::Slot& CpuBackend::slot(const Buffer& b) {
 
 tensor::MatrixView CpuBackend::rows(const Buffer& b, Index batch) {
   Slot& s = slot(b);
+  HETSGD_ASSERT(!s.sparse, "dense read of a buffer staged from CSR");
   Scalar* data = s.adopted ? s.alias : s.owned.view().data();
   return tensor::MatrixView(data, batch, b.cols);
+}
+
+tensor::CsrView CpuBackend::csr_rows(const Buffer& b, Index batch) {
+  Slot& s = slot(b);
+  HETSGD_ASSERT(s.sparse, "csr kernel on a buffer not staged from CSR");
+  return s.csr.rows_view(0, batch);
 }
 
 double CpuBackend::charge(double cost, double issue) {
@@ -106,6 +113,9 @@ void CpuBackend::free(Buffer& b) {
     s.owned = tensor::Matrix();
   }
   s.alias = nullptr;
+  s.csr_owned = tensor::CsrMatrix();
+  s.csr = tensor::CsrView();
+  s.sparse = false;
   s.live = false;
   b = Buffer{};
 }
@@ -158,17 +168,45 @@ double CpuBackend::stage_batch(tensor::ConstMatrixView x, Buffer& dst,
     Slot& s = slot(dst);
     HETSGD_ASSERT(s.adopted, "zero-copy staging needs an adopted buffer");
     s.alias = const_cast<Scalar*>(x.data());
+    s.sparse = false;
     dst.rows = x.rows();
     dst.cols = x.cols();
     return issue;
   }
   HETSGD_ASSERT(x.rows() <= dst.rows && x.cols() == dst.cols,
                 "staged batch exceeds input buffer");
+  slot(dst).sparse = false;
   auto dv = rows(dst, x.rows());
   std::memcpy(dv.data(), x.data(),
               static_cast<std::size_t>(x.size()) * sizeof(Scalar));
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(x.size()) * sizeof(Scalar) + extra_bytes;
+  return charge(perf_.transfer_seconds(bytes), issue);
+}
+
+double CpuBackend::stage_csr_batch(const tensor::CsrView& x, Buffer& dst,
+                                   std::uint64_t extra_bytes, double issue) {
+  Slot& s = slot(dst);
+  s.sparse = true;
+  if (mode_ == Mode::kZeroCopy) {
+    // Alias the CSR rows in place, as stage_batch does dense rows.
+    HETSGD_ASSERT(s.adopted, "zero-copy staging needs an adopted buffer");
+    s.alias = nullptr;
+    s.csr = x;
+    dst.rows = x.rows();
+    dst.cols = x.cols();
+    return issue;
+  }
+  HETSGD_ASSERT(x.rows() <= dst.rows && x.cols() == dst.cols,
+                "staged batch exceeds input buffer");
+  s.csr_owned = tensor::CsrMatrix(x.cols());
+  s.csr_owned.reserve(x.rows(), x.nnz());
+  for (Index r = 0; r < x.rows(); ++r) s.csr_owned.append_row(x, r);
+  s.csr = s.csr_owned.view();
+  // Charged as the dense batch: virtual time models dense cuBLAS input.
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(x.rows()) * x.cols() * sizeof(Scalar) +
+      extra_bytes;
   return charge(perf_.transfer_seconds(bytes), issue);
 }
 
@@ -182,6 +220,23 @@ double CpuBackend::gemm_bias_act(const Buffer& x, const Buffer& w,
   tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, Scalar{1},
                         xv, wv, ov, view(bias), epilogue);
   return charge_kernel(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
+}
+
+double CpuBackend::csr_bias_act(const Buffer& x, const Buffer& w,
+                                const Buffer& bias, const Buffer& out,
+                                Index batch, tensor::Epilogue epilogue,
+                                double issue) {
+  tensor::csr_bias_act(csr_rows(x, batch), view(w), rows(out, batch),
+                       view(bias), epilogue);
+  return charge_kernel(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
+}
+
+double CpuBackend::csr_matmul_tn(const Buffer& delta, const Buffer& x,
+                                 Index batch, const Buffer& grad_w,
+                                 double issue) {
+  tensor::csr_matmul_tn(rows(delta, batch), csr_rows(x, batch), view(grad_w));
+  return charge_kernel(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
+                       issue);
 }
 
 double CpuBackend::softmax_xent(const Buffer& logits,

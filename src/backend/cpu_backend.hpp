@@ -51,10 +51,18 @@ class CpuBackend final : public Backend {
                   double issue) override;
   double stage_batch(tensor::ConstMatrixView x, Buffer& dst,
                      std::uint64_t extra_bytes, double issue) override;
+  double stage_csr_batch(const tensor::CsrView& x, Buffer& dst,
+                         std::uint64_t extra_bytes, double issue) override;
 
   double gemm_bias_act(const Buffer& x, const Buffer& w, const Buffer& bias,
                        const Buffer& out, tensor::Index batch,
                        tensor::Epilogue epilogue, double issue) override;
+  double csr_bias_act(const Buffer& x, const Buffer& w, const Buffer& bias,
+                      const Buffer& out, tensor::Index batch,
+                      tensor::Epilogue epilogue, double issue) override;
+  double csr_matmul_tn(const Buffer& delta, const Buffer& x,
+                       tensor::Index batch, const Buffer& grad_w,
+                       double issue) override;
   double softmax_xent(const Buffer& logits,
                       std::span<const std::int32_t> labels,
                       const Buffer& dlogits, tensor::Index batch,
@@ -82,15 +90,22 @@ class CpuBackend final : public Backend {
   std::uint64_t bytes_transferred() const override { return bytes_moved_; }
 
  private:
-  // A buffer is either an owned allocation or an adopted host alias.
+  // A buffer is either an owned allocation or an adopted host alias. An
+  // input buffer last staged from a CSR batch holds it in `csr` instead
+  // (aliased in zero-copy mode, copied into `csr_owned` in device mode).
   struct Slot {
     tensor::Matrix owned;
     tensor::Scalar* alias = nullptr;
+    tensor::CsrMatrix csr_owned;
+    tensor::CsrView csr;
+    bool sparse = false;
     bool adopted = false;
     bool live = false;
   };
 
   Slot& slot(const Buffer& b);
+  // The first `batch` CSR rows staged into `b`.
+  tensor::CsrView csr_rows(const Buffer& b, tensor::Index batch);
   tensor::MatrixView rows(const Buffer& b, tensor::Index batch);
   // Charges `cost` on the FIFO queue cursor (kDevice) or returns `issue`
   // unchanged (kZeroCopy, where the worker charges analytically).

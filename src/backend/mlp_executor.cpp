@@ -101,7 +101,7 @@ double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
   return t;
 }
 
-Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
+Scalar MlpExecutor::compute_gradient(const tensor::InputView& x,
                                      std::span<const std::int32_t> labels,
                                      double issue_time,
                                      double* completion_time) {
@@ -117,9 +117,14 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
 
   // H2D: the batch itself, labels riding along (4 bytes each, charged
   // without a dedicated buffer — the loss kernel is the only consumer).
-  backend_.stage_batch(
-      x, input_, static_cast<std::uint64_t>(batch) * sizeof(std::int32_t),
-      issue_time);
+  const auto label_bytes =
+      static_cast<std::uint64_t>(batch) * sizeof(std::int32_t);
+  const bool sparse = x.sparse();
+  if (sparse) {
+    backend_.stage_csr_batch(x.csr(), input_, label_bytes, issue_time);
+  } else {
+    backend_.stage_batch(x.dense(), input_, label_bytes, issue_time);
+  }
 
   // Forward: per layer one fused kernel out = act(A_prev * W^T + b); the
   // output layer keeps raw logits (bias only).
@@ -128,8 +133,13 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
     const tensor::Epilogue ep =
         l + 1 < layers ? nn::bias_act_epilogue(config_.hidden_activation)
                        : tensor::Epilogue::kBias;
-    backend_.gemm_bias_act(prev, replica_[l].weights, replica_[l].bias,
-                           acts_[l], batch, ep, issue_time);
+    if (l == 0 && sparse) {
+      backend_.csr_bias_act(input_, replica_[l].weights, replica_[l].bias,
+                            acts_[l], batch, ep, issue_time);
+    } else {
+      backend_.gemm_bias_act(prev, replica_[l].weights, replica_[l].bias,
+                             acts_[l], batch, ep, issue_time);
+    }
     prev = acts_[l];
   }
 
@@ -142,8 +152,13 @@ Scalar MlpExecutor::compute_gradient(tensor::ConstMatrixView x,
   for (std::size_t l = layers; l-- > 0;) {
     const Buffer& prev_act = l == 0 ? input_ : acts_[l - 1];
     // dW = delta^T * prev_act; db = column sums of delta.
-    backend_.matmul_tn(deltas_[l], prev_act, batch, gradient_[l].weights,
-                       issue_time);
+    if (l == 0 && sparse) {
+      backend_.csr_matmul_tn(deltas_[l], input_, batch, gradient_[l].weights,
+                             issue_time);
+    } else {
+      backend_.matmul_tn(deltas_[l], prev_act, batch, gradient_[l].weights,
+                         issue_time);
+    }
     backend_.col_sums(deltas_[l], batch, gradient_[l].bias, issue_time);
     if (l > 0) {
       // delta_{l-1} = (delta_l * W^l) ⊙ act'(a_{l-1})

@@ -66,8 +66,9 @@ class MlpExecutor {
   // Forward + backward over `x` (batch x input_dim). Returns the batch
   // loss; sets `*completion_time` (if non-null) to the synchronized queue
   // time. The gradient lands in the gradient buffers (== the bound host
-  // gradient under zero-copy).
-  tensor::Scalar compute_gradient(tensor::ConstMatrixView x,
+  // gradient under zero-copy). A CSR batch runs layer 0 on the backend's
+  // csr_* kernels; the charged virtual time is the dense batch's.
+  tensor::Scalar compute_gradient(const tensor::InputView& x,
                                   std::span<const std::int32_t> labels,
                                   double issue_time, double* completion_time);
 

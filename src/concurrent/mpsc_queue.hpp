@@ -135,7 +135,10 @@ class MpscQueue {
  private:
   struct Node {
     Node() : next(nullptr) {}
-    explicit Node(T v) : next(nullptr), value(std::move(v)) {}
+    // By rvalue reference: push() already owns its argument, and a second
+    // by-value hop made GCC 12 report std::variant payloads (msg::Envelope)
+    // as maybe-uninitialized once the whole push inlined.
+    explicit Node(T&& v) : next(nullptr), value(std::move(v)) {}
     std::atomic<Node*> next;
     T value{};
   };

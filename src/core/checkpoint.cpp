@@ -143,10 +143,11 @@ std::uint64_t config_fingerprint(const TrainingConfig& config,
   const tensor::Index n = dataset.example_count();
   const tensor::Index d = dataset.dim();
   const tensor::Index stride = std::max<tensor::Index>(1, n / 257);
+  // Values are read through Dataset::feature, so the same data hashes the
+  // same whether it is stored CSR or dense.
   for (tensor::Index r = 0; r < n; r += stride) {
-    const tensor::Scalar* row = dataset.features().row(r);
-    h = mix_double(h, static_cast<double>(row[0]));
-    h = mix_double(h, static_cast<double>(row[d - 1]));
+    h = mix_double(h, static_cast<double>(dataset.feature(r, 0)));
+    h = mix_double(h, static_cast<double>(dataset.feature(r, d - 1)));
     h = mix(h, static_cast<std::uint64_t>(
                    dataset.labels()[static_cast<std::size_t>(r)]));
   }

@@ -64,15 +64,8 @@ Coordinator::Coordinator(data::Dataset& dataset, nn::Model& model,
   std::vector<std::size_t> idx(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   rng_.shuffle(idx);
-  eval_x_.resize(sample, dataset_.dim());
-  eval_y_.resize(static_cast<std::size_t>(sample));
-  for (Index i = 0; i < sample; ++i) {
-    const Index src = static_cast<Index>(idx[static_cast<std::size_t>(i)]);
-    const tensor::Scalar* from = dataset_.features().row(src);
-    std::copy(from, from + dataset_.dim(), eval_x_.row(i));
-    eval_y_[static_cast<std::size_t>(i)] =
-        dataset_.labels()[static_cast<std::size_t>(src)];
-  }
+  const std::vector<Index> rows(idx.begin(), idx.begin() + sample);
+  eval_set_ = dataset_.gather(rows, dataset_.name() + "-eval");
 }
 
 void Coordinator::add_worker(msg::Actor& actor, backend::DeviceKind kind,
@@ -674,19 +667,10 @@ void Coordinator::evaluate_loss(double vtime) {
   // lanes' unsynchronized writes (nn::Model::operator= in tsan.supp);
   // evaluating the snapshot keeps the measurement internally consistent.
   eval_snapshot_ = model_;
-  const Index n = eval_x_.rows();
-  const Index chunk = 512;
-  double total = 0.0;
-  for (Index begin = 0; begin < n; begin += chunk) {
-    const Index count = std::min(chunk, n - begin);
-    auto x = eval_x_.rows_view(begin, count);
-    std::span<const std::int32_t> y(eval_y_.data() + begin,
-                                    static_cast<std::size_t>(count));
-    total += static_cast<double>(
-                 nn::compute_loss(eval_snapshot_, x, y, eval_ws_)) *
-             static_cast<double>(count);
-  }
-  const double loss = total / static_cast<double>(n);
+  const double loss =
+      nn::mean_loss(eval_snapshot_,
+                    eval_set_.batch(0, eval_set_.example_count()),
+                    eval_set_.labels(), eval_ws_);
   if (!std::isfinite(loss)) {
     handle_divergence(vtime, loss);
     return;

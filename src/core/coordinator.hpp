@@ -278,7 +278,7 @@ class Coordinator final : public msg::Actor {
 
   // One lock per mailbox message; guards everything below that is mutable
   // after start(). ledger_ is internally synchronized; the perf models and
-  // the eval sample (eval_x_/eval_y_) are immutable after construction;
+  // the eval sample (eval_set_) are immutable after construction;
   // rng_ is coordinator-thread-confined (seeded in the constructor).
   mutable AnnotatedMutex mu_;
 
@@ -295,9 +295,9 @@ class Coordinator final : public msg::Actor {
   double epoch_start_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
   double next_eval_vtime_ HETSGD_GUARDED_BY(mu_) = 0.0;
 
-  // Loss evaluation sample (copied rows, immune to dataset shuffles).
-  tensor::Matrix eval_x_;             // immutable after construction
-  std::vector<std::int32_t> eval_y_;  // immutable after construction
+  // Loss evaluation sample (copied rows in the dataset's layout, immune to
+  // dataset shuffles).
+  data::Dataset eval_set_;  // immutable after construction
   nn::Workspace eval_ws_ HETSGD_GUARDED_BY(mu_);
   nn::Model eval_snapshot_ HETSGD_GUARDED_BY(mu_);
 

@@ -30,34 +30,19 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
   const Index sample = options.eval_sample > 0
                            ? std::min(options.eval_sample, n)
                            : n;
-  tensor::Matrix eval_x(sample, dataset.dim());
-  std::vector<std::int32_t> eval_y(static_cast<std::size_t>(sample));
+  data::Dataset eval_set;
   {
     std::vector<std::size_t> idx(static_cast<std::size_t>(n));
     for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
     Rng srng = rng.fork(7);
     srng.shuffle(idx);
-    for (Index i = 0; i < sample; ++i) {
-      const Index src = static_cast<Index>(idx[static_cast<std::size_t>(i)]);
-      const tensor::Scalar* from = dataset.features().row(src);
-      std::copy(from, from + dataset.dim(), eval_x.row(i));
-      eval_y[static_cast<std::size_t>(i)] =
-          dataset.labels()[static_cast<std::size_t>(src)];
-    }
+    const std::vector<Index> rows(idx.begin(), idx.begin() + sample);
+    eval_set = dataset.gather(rows, "reference-eval");
   }
   nn::Workspace eval_ws;
   auto eval_loss = [&](nn::Model& m) {
-    double total = 0.0;
-    const Index chunk = 512;
-    for (Index begin = 0; begin < sample; begin += chunk) {
-      const Index count = std::min(chunk, sample - begin);
-      std::span<const std::int32_t> y(eval_y.data() + begin,
-                                      static_cast<std::size_t>(count));
-      total += static_cast<double>(nn::compute_loss(
-                   m, eval_x.rows_view(begin, count), y, eval_ws)) *
-               static_cast<double>(count);
-    }
-    return total / static_cast<double>(sample);
+    return nn::mean_loss(m, eval_set.batch(0, sample), eval_set.labels(),
+                         eval_ws);
   };
 
   // TF-style: model uploaded once and kept resident across steps.
@@ -89,7 +74,7 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
     Index cursor = 0;
     while (cursor < n) {
       const Index batch = std::min<Index>(cfg.gpu.batch, n - cursor);
-      auto x = dataset.batch_features(cursor, batch);
+      auto x = dataset.batch(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
       double done = clock;
       mlp.compute_gradient(x, y, clock, &done);

@@ -45,26 +45,13 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   // Loss evaluation sample.
   const Index sample =
       options.eval_sample > 0 ? std::min(options.eval_sample, n) : n;
-  tensor::Matrix eval_x(sample, dataset.dim());
-  std::vector<std::int32_t> eval_y(static_cast<std::size_t>(sample));
+  std::vector<Index> eval_rows(static_cast<std::size_t>(sample));
   for (Index i = 0; i < sample; ++i) {
-    const Scalar* from = dataset.features().row(i);
-    std::copy(from, from + dataset.dim(), eval_x.row(i));
-    eval_y[static_cast<std::size_t>(i)] =
-        dataset.labels()[static_cast<std::size_t>(i)];
+    eval_rows[static_cast<std::size_t>(i)] = i;
   }
+  const data::Dataset eval_set = dataset.gather(eval_rows, "svrg-eval");
   auto eval_loss = [&](const nn::Model& m) {
-    double total = 0.0;
-    const Index chunk = 512;
-    for (Index begin = 0; begin < sample; begin += chunk) {
-      const Index count = std::min(chunk, sample - begin);
-      std::span<const std::int32_t> y(eval_y.data() + begin,
-                                      static_cast<std::size_t>(count));
-      total += static_cast<double>(nn::compute_loss(
-                   m, eval_x.rows_view(begin, count), y, ws)) *
-               static_cast<double>(count);
-    }
-    return total / static_cast<double>(sample);
+    return nn::mean_loss(m, eval_set.batch(0, sample), eval_set.labels(), ws);
   };
 
   SvrgResult result;
@@ -87,7 +74,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
     mu.set_zero();
     for (Index begin = 0; begin < n; begin += 8192) {
       const Index count = std::min<Index>(8192, n - begin);
-      auto x = dataset.batch_features(begin, count);
+      auto x = dataset.batch(begin, count);
       auto y = dataset.batch_labels(begin, count);
       nn::compute_gradient(snapshot, x, y, ws, g_snap);
       mu.axpy(static_cast<Scalar>(count) / static_cast<Scalar>(n), g_snap);
@@ -103,7 +90,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
         dataset.shuffle(rng);
         cursor = 0;
       }
-      auto x = dataset.batch_features(cursor, batch);
+      auto x = dataset.batch(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
       nn::compute_gradient(w, x, y, ws, g_cur);
       nn::compute_gradient(snapshot, x, y, ws, g_snap);

@@ -222,7 +222,7 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
           const Index sb_begin = begin + static_cast<Index>(i) * sub_batch;
           const Index sb_size =
               std::min(sub_batch, begin + size - sb_begin);
-          auto x = dataset_.batch_features(sb_begin, sb_size);
+          auto x = dataset_.batch(sb_begin, sb_size);
           auto y = dataset_.batch_labels(sb_begin, sb_size);
           exec.compute_gradient(x, y, clock_.now(), nullptr);
           optimizers_[lane].step(model_, grad,
@@ -310,7 +310,7 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
   }
 
   const double issue = clock_.now();
-  auto x = dataset_.batch_features(begin, size);
+  auto x = dataset_.batch(begin, size);
   auto y = dataset_.batch_labels(begin, size);
   double done = issue;
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -118,6 +119,10 @@ std::optional<Dataset> build_dataset(std::istream& in,
     *error = "could not infer dimension (no features seen)";
     return std::nullopt;
   }
+  if (dim > std::numeric_limits<tensor::ColIndex>::max()) {
+    *error = "dimension " + std::to_string(dim) + " exceeds the column range";
+    return std::nullopt;
+  }
   if (max_index >= dim) {
     *error = at_line(max_index_line,
                      "feature index " + std::to_string(max_index + 1) +
@@ -136,22 +141,31 @@ std::optional<Dataset> build_dataset(std::istream& in,
     id = next_id++;
   }
 
-  const Index n = static_cast<Index>(examples.size());
-  tensor::Matrix features(n, dim);
-  std::vector<std::int32_t> labels(static_cast<std::size_t>(n));
-  for (Index r = 0; r < n; ++r) {
-    const auto& ex = examples[static_cast<std::size_t>(r)];
-    Scalar* row = features.row(r);
-    for (const auto& [idx, val] : ex.entries) {
-      row[idx] = val;
+  // Rows go straight into CSR (sorted columns, a repeated index keeps its
+  // last value, as a dense write would); make_dataset() densifies when the
+  // file is too dense for the storage rule.
+  tensor::CsrMatrix features(dim);
+  std::vector<std::int32_t> labels;
+  labels.reserve(examples.size());
+  for (auto& ex : examples) {
+    std::stable_sort(ex.entries.begin(), ex.entries.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (std::size_t i = 0; i < ex.entries.size(); ++i) {
+      const auto& [idx, val] = ex.entries[i];
+      if (i + 1 < ex.entries.size() && ex.entries[i + 1].first == idx) {
+        continue;  // overwritten by a later pair
+      }
+      features.add(static_cast<tensor::ColIndex>(idx), val);
     }
-    labels[static_cast<std::size_t>(r)] =
-        label_ids.at(static_cast<long>(ex.label));
+    features.end_row();
+    labels.push_back(label_ids.at(static_cast<long>(ex.label)));
   }
   std::string name =
       options.dataset_name.empty() ? default_name : options.dataset_name;
-  return Dataset(std::move(name), std::move(features), std::move(labels),
-                 next_id < 2 ? 2 : next_id);
+  return make_dataset(std::move(name), std::move(features), std::move(labels),
+                      next_id < 2 ? 2 : next_id);
 }
 
 }  // namespace
@@ -202,10 +216,19 @@ void write_libsvm(const Dataset& dataset, const std::string& path) {
   const Index d = dataset.dim();
   for (Index r = 0; r < n; ++r) {
     out << dataset.labels()[static_cast<std::size_t>(r)];
-    const Scalar* row = dataset.features().row(r);
-    for (Index c = 0; c < d; ++c) {
-      if (row[c] != Scalar{0}) {
-        out << ' ' << (c + 1) << ':' << row[c];
+    if (dataset.sparse()) {
+      const tensor::CsrView rows = dataset.csr().view();
+      for (Index p = rows.row_ptr()[r]; p < rows.row_ptr()[r + 1]; ++p) {
+        if (rows.val()[p] != Scalar{0}) {
+          out << ' ' << (rows.col()[p] + 1) << ':' << rows.val()[p];
+        }
+      }
+    } else {
+      const Scalar* row = dataset.features().row(r);
+      for (Index c = 0; c < d; ++c) {
+        if (row[c] != Scalar{0}) {
+          out << ' ' << (c + 1) << ':' << row[c];
+        }
       }
     }
     out << '\n';

@@ -1,10 +1,12 @@
 // LIBSVM-format reader/writer.
 //
 // The paper's four datasets (covtype, w8a, delicious, real-sim) ship in
-// LIBSVM sparse text format; this reader densifies them the way the paper
-// does ("we process all the datasets in dense format"). When the real files
-// are present they can be loaded directly; the synthetic generators stand
-// in when they are not.
+// LIBSVM sparse text format. The reader fills CSR rows directly and keeps
+// them when the file is sparse enough for the storage rule
+// (data::prefers_csr), densifying otherwise; the paper processed every
+// dataset dense, and the virtual-time charges still do (DESIGN.md §15).
+// When the real files are present they can be loaded directly; the
+// synthetic generators stand in when they are not.
 #pragma once
 
 #include <optional>
@@ -25,7 +27,7 @@ struct LibsvmReadOptions {
   std::string dataset_name;  // defaults to the file path
 };
 
-// Parses a LIBSVM file into a dense Dataset. On malformed input (truncated
+// Parses a LIBSVM file into a Dataset (CSR or dense by the storage rule). On malformed input (truncated
 // pair, non-numeric index, index < 1, non-finite value, index beyond --dim)
 // returns nullopt and sets *error to a "path: line N: ..." diagnostic.
 std::optional<Dataset> try_read_libsvm(const std::string& path,

@@ -9,24 +9,6 @@ namespace hetsgd::data {
 
 using tensor::Index;
 
-namespace {
-
-Dataset gather(const Dataset& source, const std::vector<Index>& rows,
-               const std::string& suffix) {
-  tensor::Matrix features(static_cast<Index>(rows.size()), source.dim());
-  std::vector<std::int32_t> labels(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const tensor::Scalar* from = source.features().row(rows[i]);
-    std::copy(from, from + source.dim(),
-              features.row(static_cast<Index>(i)));
-    labels[i] = source.labels()[static_cast<std::size_t>(rows[i])];
-  }
-  return Dataset(source.name() + suffix, std::move(features),
-                 std::move(labels), source.num_classes());
-}
-
-}  // namespace
-
 SplitResult train_test_split(const Dataset& dataset, double test_fraction,
                              Rng& rng, bool stratified) {
   HETSGD_ASSERT(test_fraction > 0.0 && test_fraction < 1.0,
@@ -77,8 +59,8 @@ SplitResult train_test_split(const Dataset& dataset, double test_fraction,
   // Degenerate stratified splits can leave a side empty; rebalance.
   HETSGD_ASSERT(!train_rows.empty() && !test_rows.empty(),
                 "split produced an empty side");
-  return SplitResult{gather(dataset, train_rows, "-train"),
-                     gather(dataset, test_rows, "-test")};
+  return SplitResult{dataset.gather(train_rows, dataset.name() + "-train"),
+                     dataset.gather(test_rows, dataset.name() + "-test")};
 }
 
 }  // namespace hetsgd::data

@@ -74,7 +74,7 @@ double ConfusionMatrix::macro_f1() const {
 }
 
 ConfusionMatrix evaluate_classifier(const Model& model,
-                                    tensor::ConstMatrixView x,
+                                    const tensor::InputView& x,
                                     std::span<const std::int32_t> labels,
                                     Workspace& ws) {
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == x.rows(),

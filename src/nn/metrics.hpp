@@ -38,7 +38,7 @@ class ConfusionMatrix {
 
 // Runs the model over (x, labels) in chunks and fills a confusion matrix.
 ConfusionMatrix evaluate_classifier(const Model& model,
-                                    tensor::ConstMatrixView x,
+                                    const tensor::InputView& x,
                                     std::span<const std::int32_t> labels,
                                     Workspace& ws);
 

@@ -72,13 +72,13 @@ tensor::MatrixView batch_rows(tensor::Matrix& m, Index batch) {
 
 }  // namespace
 
-void forward(const Model& model, tensor::ConstMatrixView x, Workspace& ws) {
+void forward(const Model& model, const tensor::InputView& x, Workspace& ws) {
   const Index batch = x.rows();
   HETSGD_ASSERT(x.cols() == model.config().input_dim,
                 "input width != model input_dim");
   ws.ensure(model, batch);
   const std::size_t layers = model.layer_count();
-  tensor::ConstMatrixView input = x;
+  tensor::ConstMatrixView input = x.dense();  // unused by a CSR layer 0
   for (std::size_t l = 0; l < layers; ++l) {
     const Layer& layer = model.layer(l);
     auto out = batch_rows(ws.acts()[l], batch);
@@ -87,14 +87,19 @@ void forward(const Model& model, tensor::ConstMatrixView x, Workspace& ws) {
     const tensor::Epilogue ep =
         l + 1 < layers ? bias_act_epilogue(model.config().hidden_activation)
                        : tensor::Epilogue::kBias;
-    tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes,
-                          tensor::Scalar{1}, input, layer.weights.view(), out,
-                          layer.bias.view(), ep);
+    if (l == 0 && x.sparse()) {
+      tensor::csr_bias_act(x.csr(), layer.weights.view(), out,
+                           layer.bias.view(), ep);
+    } else {
+      tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes,
+                            tensor::Scalar{1}, input, layer.weights.view(),
+                            out, layer.bias.view(), ep);
+    }
     input = out;
   }
 }
 
-tensor::Scalar compute_loss(const Model& model, tensor::ConstMatrixView x,
+tensor::Scalar compute_loss(const Model& model, const tensor::InputView& x,
                             std::span<const std::int32_t> labels,
                             Workspace& ws) {
   forward(model, x, ws);
@@ -102,11 +107,30 @@ tensor::Scalar compute_loss(const Model& model, tensor::ConstMatrixView x,
   return softmax_cross_entropy(logits, labels, nullptr);
 }
 
+double mean_loss(const Model& model, const tensor::InputView& x,
+                 std::span<const std::int32_t> labels, Workspace& ws) {
+  const Index n = x.rows();
+  HETSGD_ASSERT(static_cast<Index>(labels.size()) == n,
+                "label count != example count");
+  const Index chunk = 512;
+  double total = 0.0;
+  for (Index begin = 0; begin < n; begin += chunk) {
+    const Index count = std::min(chunk, n - begin);
+    total += static_cast<double>(compute_loss(
+                 model, x.rows_view(begin, count),
+                 labels.subspan(static_cast<std::size_t>(begin),
+                                static_cast<std::size_t>(count)),
+                 ws)) *
+             static_cast<double>(count);
+  }
+  return total / static_cast<double>(n);
+}
+
 namespace {
 
 // Shared backward pass: assumes ws.deltas().back() already holds
 // dLoss/dlogits for the batch. Fills `grad` and the remaining deltas.
-void backward(const Model& model, tensor::ConstMatrixView x, Workspace& ws,
+void backward(const Model& model, const tensor::InputView& x, Workspace& ws,
               Gradient& grad) {
   const Index batch = x.rows();
   const std::size_t layers = model.layer_count();
@@ -114,12 +138,16 @@ void backward(const Model& model, tensor::ConstMatrixView x, Workspace& ws,
 
   for (std::size_t l = layers; l-- > 0;) {
     auto delta = ws.deltas()[l].rows_view(0, batch);
-    // Input to layer l during the forward pass.
-    tensor::ConstMatrixView prev =
-        l == 0 ? x
-               : tensor::ConstMatrixView(ws.acts()[l - 1].rows_view(0, batch));
-    // dW^l = delta^T * prev   (out x in)
-    tensor::matmul_tn(delta, prev, grad.layer(l).weights.view());
+    // dW^l = delta^T * prev   (out x in), prev = the input to layer l
+    // during the forward pass.
+    if (l > 0) {
+      tensor::matmul_tn(delta, ws.acts()[l - 1].rows_view(0, batch),
+                        grad.layer(l).weights.view());
+    } else if (x.sparse()) {
+      tensor::csr_matmul_tn(delta, x.csr(), grad.layer(l).weights.view());
+    } else {
+      tensor::matmul_tn(delta, x.dense(), grad.layer(l).weights.view());
+    }
     // db^l = column sums of delta.
     tensor::col_sums(delta, grad.layer(l).bias.view());
     if (l > 0) {
@@ -134,7 +162,7 @@ void backward(const Model& model, tensor::ConstMatrixView x, Workspace& ws,
 
 }  // namespace
 
-tensor::Scalar compute_gradient(const Model& model, tensor::ConstMatrixView x,
+tensor::Scalar compute_gradient(const Model& model, const tensor::InputView& x,
                                 std::span<const std::int32_t> labels,
                                 Workspace& ws, Gradient& grad) {
   forward(model, x, ws);
@@ -148,7 +176,7 @@ tensor::Scalar compute_gradient(const Model& model, tensor::ConstMatrixView x,
 }
 
 tensor::Scalar compute_gradient_bce(const Model& model,
-                                    tensor::ConstMatrixView x,
+                                    const tensor::InputView& x,
                                     tensor::ConstMatrixView targets,
                                     Workspace& ws, Gradient& grad) {
   forward(model, x, ws);

@@ -13,6 +13,7 @@
 
 #include "nn/loss.hpp"
 #include "nn/model.hpp"
+#include "tensor/csr.hpp"
 #include "tensor/matrix.hpp"
 
 namespace hetsgd::nn {
@@ -54,23 +55,29 @@ class Workspace {
 };
 
 // Forward pass over a batch; logits land in ws.logits(). `x` is
-// batch x input_dim.
-void forward(const Model& model, tensor::ConstMatrixView x, Workspace& ws);
+// batch x input_dim, dense or CSR: a CSR batch runs layer 0 on the sparse
+// kernels (tensor/csr.hpp), every other layer is dense either way.
+void forward(const Model& model, const tensor::InputView& x, Workspace& ws);
 
 // Forward + mean softmax cross-entropy loss (no gradient).
-tensor::Scalar compute_loss(const Model& model, tensor::ConstMatrixView x,
+tensor::Scalar compute_loss(const Model& model, const tensor::InputView& x,
                             std::span<const std::int32_t> labels,
                             Workspace& ws);
 
+// Mean softmax cross-entropy over all of `x`, evaluated in 512-row chunks
+// (the evaluation path of the coordinator and the reference trainers).
+double mean_loss(const Model& model, const tensor::InputView& x,
+                 std::span<const std::int32_t> labels, Workspace& ws);
+
 // Forward + backward; fills `grad` (shape of model) and returns the loss.
-tensor::Scalar compute_gradient(const Model& model, tensor::ConstMatrixView x,
+tensor::Scalar compute_gradient(const Model& model, const tensor::InputView& x,
                                 std::span<const std::int32_t> labels,
                                 Workspace& ws, Gradient& grad);
 
 // Multi-label variant: targets is a dense batch x classes 0/1 matrix and
 // the loss is sigmoid BCE.
 tensor::Scalar compute_gradient_bce(const Model& model,
-                                    tensor::ConstMatrixView x,
+                                    const tensor::InputView& x,
                                     tensor::ConstMatrixView targets,
                                     Workspace& ws, Gradient& grad);
 

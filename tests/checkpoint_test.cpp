@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -353,6 +354,27 @@ TEST(Fingerprint, IgnoresTimeBudget) {
   EXPECT_EQ(config_fingerprint(a, d), config_fingerprint(b, d));
 }
 
+// The same data hashes the same in either storage layout, and a CSR
+// dataset hashes as its dense predecessor did, so checkpoints cut before
+// CSR storage existed still resume. The pinned values were computed from
+// the dense-only dataset code.
+TEST(Fingerprint, EqualForTheSameDataStoredCsrOrDense) {
+  const TrainingConfig config;
+  for (const auto& [id, golden] :
+       {std::pair{data::PaperDataset::kW8a, 0x3fa6315f52db518dull},
+        std::pair{data::PaperDataset::kRealSim, 0xd21ed0a81bd60347ull}}) {
+    const data::Dataset csr = data::make_paper_dataset(id, 0.02, 8);
+    ASSERT_TRUE(csr.sparse());
+    const data::Dataset dense(
+        csr.name(), csr.densified(),
+        {csr.labels().begin(), csr.labels().end()}, csr.num_classes());
+    EXPECT_EQ(config_fingerprint(config, csr),
+              config_fingerprint(config, dense));
+    EXPECT_EQ(config_fingerprint(config, csr), golden)
+        << data::paper_dataset_name(id);
+  }
+}
+
 // --- checkpoint manager ---------------------------------------------------
 
 TEST(CheckpointManagerTest, SaveAssignsSequenceAndWritesManifest) {
@@ -508,6 +530,43 @@ TEST(Resume, ResumedTrajectoryMatchesUninterruptedRun) {
 
   // The spliced trajectory — checkpointed prefix plus recomputed suffix —
   // must be bitwise identical to never having stopped.
+  expect_same_trajectory(full, second_leg);
+  std::filesystem::remove_all(dir);
+}
+
+// The same contract on a CSR-stored dataset: the epoch reshuffle rewrites
+// CSR rows, and the resumed run must replay it exactly.
+TEST(Resume, ResumedTrajectoryOnCsrDataMatchesUninterruptedRun) {
+  const std::string dir = temp_dir("hetsgd_resume_csr");
+  const auto sparse_dataset = [] {
+    data::SyntheticSpec spec;
+    spec.name = "ckpt-sparse";
+    spec.examples = 1024;
+    spec.dim = 64;
+    spec.classes = 3;
+    spec.density = 0.1;
+    spec.seed = 17;
+    return data::make_synthetic(spec);
+  };
+  ASSERT_TRUE(sparse_dataset().sparse());
+  TrainingConfig config = deterministic_config();
+
+  Trainer reference(sparse_dataset(), config);
+  TrainingResult full = reference.run();
+  ASSERT_GT(full.loss_curve.size(), 1u);
+
+  TrainingConfig half = config;
+  half.time_budget_vseconds = config.time_budget_vseconds / 2.0;
+  half.fault.checkpoint_dir = dir;
+  Trainer interrupted(sparse_dataset(), half);
+  ASSERT_GE(interrupted.run().checkpoints_written, 1u);
+
+  TrainingConfig resumed_config = config;
+  resumed_config.fault.checkpoint_dir = dir;
+  resumed_config.fault.resume_dir = dir;
+  Trainer resumed(sparse_dataset(), resumed_config);
+  TrainingResult second_leg = resumed.run();
+  EXPECT_TRUE(second_leg.resumed);
   expect_same_trajectory(full, second_leg);
   std::filesystem::remove_all(dir);
 }

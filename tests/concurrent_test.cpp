@@ -7,8 +7,6 @@
 
 #include "concurrent/blocking_queue.hpp"
 #include "concurrent/mpsc_queue.hpp"
-#include "concurrent/sharded_counter.hpp"
-#include "concurrent/spin_barrier.hpp"
 #include "concurrent/spsc_ring.hpp"
 #include "concurrent/thread_pool.hpp"
 
@@ -328,53 +326,6 @@ TEST(ThreadPool, EmptyRangeIsNoop) {
     called = true;
   });
   EXPECT_FALSE(called);
-}
-
-TEST(SpinBarrier, SynchronizesPhases) {
-  constexpr std::size_t kThreads = 4;
-  SpinBarrier barrier(kThreads);
-  std::atomic<int> phase_counter{0};
-  std::vector<std::thread> threads;
-  std::atomic<bool> ok{true};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int phase = 0; phase < 50; ++phase) {
-        phase_counter.fetch_add(1);
-        barrier.arrive_and_wait();
-        // After the barrier, all arrivals of this phase are visible.
-        if (phase_counter.load() < static_cast<int>(kThreads) * (phase + 1)) {
-          ok = false;
-        }
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok.load());
-  EXPECT_EQ(phase_counter.load(), static_cast<int>(kThreads) * 50);
-}
-
-TEST(ShardedCounter, SumsAcrossShards) {
-  ShardedCounter counter(8);
-  EXPECT_EQ(counter.shard_count(), 8u);
-  for (std::size_t s = 0; s < 8; ++s) counter.add(s, s + 1);
-  EXPECT_EQ(counter.total(), 36u);
-  counter.reset();
-  EXPECT_EQ(counter.total(), 0u);
-}
-
-TEST(ShardedCounter, ConcurrentIncrements) {
-  ShardedCounter counter(4);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&counter, t] {
-      for (int i = 0; i < 100000; ++i) {
-        counter.add(static_cast<std::size_t>(t));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.total(), 400000u);
 }
 
 }  // namespace

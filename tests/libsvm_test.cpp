@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/ops.hpp"
+
 namespace hetsgd::data {
 namespace {
 
@@ -121,6 +123,52 @@ TEST(Libsvm, WriteReadRoundTrip) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(Libsvm, SparseFileFillsCsrAndRoundTrips) {
+  // 2 stored values per 40-wide row: 5% dense, CSR under the storage rule.
+  // Indices may come unsorted; a repeated index keeps its last value.
+  std::string content;
+  for (int r = 0; r < 30; ++r) {
+    const int a = 1 + (r * 7) % 40;
+    const int b = 1 + (r * 13 + 5) % 40;
+    content += std::to_string(r % 2) + " " + std::to_string(b) + ":" +
+               std::to_string(r + 1) + ".5 " + std::to_string(a) + ":-" +
+               std::to_string(r) + ".25\n";
+  }
+  content += "1 9:1 3:2 9:4\n";
+  LibsvmReadOptions options;
+  options.dim = 40;
+  Dataset d = read_libsvm_string(content, options);
+  ASSERT_TRUE(d.sparse());
+  EXPECT_EQ(d.example_count(), 31);
+  EXPECT_DOUBLE_EQ(d.feature(0, 5), 1.5);    // b = 6 for row 0
+  EXPECT_DOUBLE_EQ(d.feature(0, 0), -0.25);  // a = 1 for row 0
+  EXPECT_DOUBLE_EQ(d.feature(30, 8), 4.0);   // repeated index: last wins
+  EXPECT_DOUBLE_EQ(d.feature(30, 2), 2.0);
+  EXPECT_DOUBLE_EQ(d.feature(30, 0), 0.0);
+  EXPECT_EQ(d.csr().view().at(30, 8), 4.0);
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "hetsgd_libsvm_csr.txt")
+          .string();
+  write_libsvm(d, path);
+  Dataset loaded = read_libsvm(path, options);
+  EXPECT_TRUE(loaded.sparse());
+  ASSERT_EQ(loaded.example_count(), d.example_count());
+  EXPECT_EQ(tensor::max_abs_diff(loaded.densified().view(),
+                                 d.densified().view()),
+            0.0);
+  for (std::size_t i = 0; i < d.labels().size(); ++i) {
+    EXPECT_EQ(loaded.labels()[i], d.labels()[i]);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Libsvm, DenseFileStaysDense) {
+  Dataset d = read_libsvm_string("1 1:1 2:2\n0 1:3 2:4\n", {});
+  EXPECT_FALSE(d.sparse());
+  EXPECT_DOUBLE_EQ(d.features()(1, 1), 4.0);
 }
 
 TEST(Libsvm, MissingFileDies) {

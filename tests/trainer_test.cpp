@@ -3,6 +3,7 @@
 #include "core/trainer.hpp"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,70 @@ TrainingConfig small_config(Algorithm a) {
   config.real_threads = 2;
   return config;
 }
+
+// The sparse input path moves wall time only. A dataset stored CSR and the
+// same data stored dense give the same virtual-time trajectory (staging
+// and every sparse kernel charge the dense cost), the same batch sizes and
+// example counts, and losses that differ only by summation order. The
+// runs are deterministic: one GPU worker, or one CPU worker on one lane.
+class StorageLayout : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(StorageLayout, CsrAndDenseStorageShareTheVirtualTrajectory) {
+  data::SyntheticSpec spec;
+  spec.name = "layout";
+  spec.examples = 1024;
+  spec.dim = 96;
+  spec.classes = 3;
+  spec.density = 0.08;
+  spec.seed = 5;
+  const data::Dataset csr = data::make_synthetic(spec);
+  ASSERT_TRUE(csr.sparse());
+  const data::Dataset dense(csr.name(), csr.densified(),
+                            {csr.labels().begin(), csr.labels().end()},
+                            csr.num_classes());
+  TrainingConfig config = small_config(GetParam());
+  config.cpu.sim_lanes = 1;
+  config.real_threads = 1;
+
+  Trainer a(csr, config);
+  Trainer b(dense, config);
+  const TrainingResult rc = a.run();
+  const TrainingResult rd = b.run();
+  ASSERT_EQ(rc.loss_curve.size(), rd.loss_curve.size());
+  ASSERT_GT(rc.loss_curve.size(), 2u);
+  for (std::size_t i = 0; i < rc.loss_curve.size(); ++i) {
+    EXPECT_EQ(rc.loss_curve[i].vtime, rd.loss_curve[i].vtime) << i;
+    EXPECT_EQ(rc.loss_curve[i].epochs, rd.loss_curve[i].epochs) << i;
+    EXPECT_NEAR(rc.loss_curve[i].loss, rd.loss_curve[i].loss,
+                1e-9 * std::abs(rd.loss_curve[i].loss))
+        << i;
+  }
+  EXPECT_EQ(rc.total_vtime, rd.total_vtime);
+  EXPECT_EQ(rc.examples_dispatched, rd.examples_dispatched);
+  ASSERT_EQ(rc.workers.size(), rd.workers.size());
+  for (std::size_t w = 0; w < rc.workers.size(); ++w) {
+    EXPECT_EQ(rc.workers[w].examples, rd.workers[w].examples);
+    EXPECT_EQ(rc.workers[w].batches, rd.workers[w].batches);
+    EXPECT_EQ(rc.workers[w].final_batch, rd.workers[w].final_batch);
+    EXPECT_EQ(rc.workers[w].updates, rd.workers[w].updates);
+    EXPECT_EQ(rc.workers[w].busy_vtime, rd.workers[w].busy_vtime);
+    ASSERT_EQ(rc.workers[w].segments.size(), rd.workers[w].segments.size());
+    for (std::size_t i = 0; i < rc.workers[w].segments.size(); ++i) {
+      EXPECT_EQ(rc.workers[w].segments[i].t0, rd.workers[w].segments[i].t0);
+      EXPECT_EQ(rc.workers[w].segments[i].t1, rd.workers[w].segments[i].t1);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Deterministic, StorageLayout,
+                         ::testing::Values(Algorithm::kMinibatchGpu,
+                                           Algorithm::kHogwildCpu),
+                         [](const ::testing::TestParamInfo<Algorithm>& p) {
+                           return std::string(
+                               p.param == Algorithm::kMinibatchGpu
+                                   ? "gpu_only"
+                                   : "cpu_only");
+                         });
 
 class AlgorithmRun : public ::testing::TestWithParam<Algorithm> {};
 

@@ -39,8 +39,8 @@ atomic call expressions. It parses the tree into a small syntactic index
                         a new message kind is added.
 
   atomic-discipline     Every memory_order_relaxed operation must sit on
-                        an allowlisted atomic field (the lock-free queue /
-                        barrier internals and the obs counters, listed in
+                        an allowlisted atomic field (the lock-free queue
+                        internals and the obs counters, listed in
                         ALLOWED_RELAXED below). Everything else must use
                         acquire/release or stronger — benign *non-atomic*
                         races belong in scripts/tsan.supp (the single
@@ -110,7 +110,7 @@ MSG_VARIANT_NAME = "Message"
 
 # atomic-discipline: the sanctioned memory_order_relaxed sites, keyed by
 # (root-relative path, atomic field name). This is the atomic counterpart
-# of scripts/tsan.supp: queue/barrier internals whose ordering is carried
+# of scripts/tsan.supp: queue internals whose ordering is carried
 # by the surrounding acquire/release edges, and obs/log counters where a
 # stale read only skews a statistic. The three sanctioned Hogwild races
 # (tensor::axpy, nn::Model::operator=, the dataset shuffle helpers) are
@@ -118,10 +118,6 @@ MSG_VARIANT_NAME = "Message"
 # tsan.supp; turning them into relaxed atomics would hide them from TSan
 # without making them more correct.
 ALLOWED_RELAXED = {
-    # spin barrier: arrival counter + sense flag; release/acquire on the
-    # final arrival publishes, earlier relaxed ops are counting only.
-    ("src/concurrent/spin_barrier.hpp", "sense_"),
-    ("src/concurrent/spin_barrier.hpp", "arrived_"),
     # SPSC ring: own-side index loads (the owning thread wrote them last).
     ("src/concurrent/spsc_ring.hpp", "head_"),
     ("src/concurrent/spsc_ring.hpp", "tail_"),
@@ -129,9 +125,8 @@ ALLOWED_RELAXED = {
     # (ordering carried by the producer's exchange/store pair).
     ("src/concurrent/mpsc_queue.hpp", "head_"),
     ("src/concurrent/mpsc_queue.hpp", "next"),
-    # sharded counter / obs metrics: statistical counters; sum() is
-    # documented as approximate under concurrent increments.
-    ("src/concurrent/sharded_counter.hpp", "value"),
+    # obs metrics: statistical counters; sum() is documented as
+    # approximate under concurrent increments.
     ("src/obs/metrics.hpp", "v"),
     ("src/obs/metrics.hpp", "value_"),
     ("src/obs/metrics.cpp", "next"),
