@@ -1,9 +1,12 @@
-// Microbenchmark — Hogwild gradient + racy update throughput on the host,
-// and the adaptive controller's per-request overhead ("the computation of
+// Microbenchmark — Hogwild gradient + racy update throughput on the host
+// (the executor the worker lanes run: MlpExecutor zero-copy on the shared
+// model, through backend::HostExecutor), and the adaptive controller's
+// per-request overhead ("the computation of
 // a new batch size is light and does not incur observable overhead",
 // §VI-C).
 #include <benchmark/benchmark.h>
 
+#include "backend/host_executor.hpp"
 #include "common/rng.hpp"
 #include "concurrent/thread_pool.hpp"
 #include "core/adaptive.hpp"
@@ -32,13 +35,14 @@ void BM_GradientSingleExample(benchmark::State& state) {
   nn::MlpConfig c = bench_mlp(d.dim(), d.num_classes());
   Rng rng(1);
   nn::Model model(c, rng);
-  nn::Workspace ws;
   nn::Gradient grad = nn::make_zero_gradient(model);
+  backend::HostExecutor host;
+  backend::MlpExecutor& exec = host.bind(model, grad, 1);
   tensor::Index i = 0;
   for (auto _ : state) {
     auto x = d.batch(i % 256, 1);
     auto y = d.batch_labels(i % 256, 1);
-    nn::compute_gradient(model, x, y, ws, grad);
+    exec.compute_gradient(x, y, 0.0, nullptr);
     nn::sgd_step(model, grad, 1e-4);
     ++i;
   }
@@ -59,10 +63,14 @@ void BM_HogwildLanes(benchmark::State& state) {
   Rng rng(2);
   nn::Model model(c, rng);
   concurrent::ThreadPool pool(lanes);
-  std::vector<nn::Workspace> ws(lanes);
   std::vector<nn::Gradient> grads;
+  std::vector<backend::HostExecutor> hosts;
+  grads.reserve(lanes);
+  hosts.reserve(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     grads.push_back(nn::make_zero_gradient(model));
+    hosts.emplace_back();
+    hosts.back().bind(model, grads.back(), 1);
   }
   const std::size_t kPerLane = 16;
   for (auto _ : state) {
@@ -72,7 +80,7 @@ void BM_HogwildLanes(benchmark::State& state) {
             static_cast<tensor::Index>((lane * kPerLane + k) % 1024);
         auto x = d.batch(row, 1);
         auto y = d.batch_labels(row, 1);
-        nn::compute_gradient(model, x, y, ws[lane], grads[lane]);
+        hosts[lane].executor().compute_gradient(x, y, 0.0, nullptr);
         nn::sgd_step(model, grads[lane], 1e-4);
       }
     });

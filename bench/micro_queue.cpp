@@ -3,7 +3,6 @@
 
 #include <thread>
 
-#include "concurrent/blocking_queue.hpp"
 #include "concurrent/mpsc_queue.hpp"
 #include "concurrent/spsc_ring.hpp"
 #include "msg/message.hpp"
@@ -20,15 +19,6 @@ void BM_MpscPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MpscPushPop);
-
-void BM_BlockingPushPop(benchmark::State& state) {
-  concurrent::BlockingQueue<int> q;
-  for (auto _ : state) {
-    q.push(1);
-    benchmark::DoNotOptimize(q.try_pop());
-  }
-}
-BENCHMARK(BM_BlockingPushPop);
 
 void BM_SpscPushPop(benchmark::State& state) {
   concurrent::SpscRing<int> ring(1024);

@@ -9,11 +9,13 @@
 #include <optional>
 #include <string>
 
+#include "backend/host_executor.hpp"
 #include "common/cli.hpp"
 #include "core/trainer.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
 #include "nn/metrics.hpp"
+#include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 
 using namespace hetsgd;
@@ -71,14 +73,17 @@ int main(int argc, char** argv) {
   mlp.input_dim = split.train.dim();
   mlp.num_classes = split.train.num_classes();
   nn::Model model(mlp, rng);
-  nn::Workspace ws;
   nn::Gradient grad = nn::make_zero_gradient(model);
+  // The executor the Hogwild lanes run, on this model's own storage.
+  const tensor::Index batch = 256;
+  backend::HostExecutor host;
   for (int step = 0; step < 400; ++step) {
-    const tensor::Index batch = 256;
     const tensor::Index begin =
         (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(model, split.train.batch(begin, batch),
-                         split.train.batch_labels(begin, batch), ws, grad);
+    host.bind(model, grad, batch)
+        .compute_gradient(split.train.batch(begin, batch),
+                          split.train.batch_labels(begin, batch), 0.0,
+                          nullptr);
     nn::sgd_step(model, grad, 0.3);
   }
   nn::save_model(model, ckpt);
@@ -99,18 +104,19 @@ int main(int argc, char** argv) {
   std::printf("checkpoint loaded: identical=%s\n",
               resumed.max_abs_diff(model) == 0.0 ? "yes" : "NO");
   for (int step = 0; step < 200; ++step) {
-    const tensor::Index batch = 256;
     const tensor::Index begin =
         (step * batch) % (split.train.example_count() - batch);
-    nn::compute_gradient(resumed, split.train.batch(begin, batch),
-                         split.train.batch_labels(begin, batch), ws, grad);
+    host.bind(resumed, grad, batch)
+        .compute_gradient(split.train.batch(begin, batch),
+                          split.train.batch_labels(begin, batch), 0.0,
+                          nullptr);
     nn::sgd_step(resumed, grad, 0.3);
   }
 
   // Held-out evaluation.
-  nn::ConfusionMatrix cm = nn::evaluate_classifier(
+  nn::ConfusionMatrix cm = backend::evaluate_classifier(
       resumed, split.test.batch(0, split.test.example_count()),
-      split.test.labels(), ws);
+      split.test.labels(), host);
   std::printf("\nheld-out evaluation (%llu examples):\n",
               static_cast<unsigned long long>(cm.total()));
   std::printf("  accuracy: %.1f%%   macro-F1: %.3f\n", 100.0 * cm.accuracy(),

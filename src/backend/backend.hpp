@@ -88,8 +88,10 @@ class Backend {
 
   // --- transfers ---------------------------------------------------------
   // Copy host -> buffer / buffer -> host, charging modeled link time.
-  // These are the fault-injection surfaces: a pending injected fault makes
-  // the call throw TransferError (consuming one injection).
+  // download() may read back just the first host.rows() rows of `src` (a
+  // batch prefix). These are the fault-injection surfaces: a pending
+  // injected fault makes the call throw TransferError (consuming one
+  // injection).
   virtual double upload(tensor::ConstMatrixView host, const Buffer& dst,
                         double issue) = 0;
   virtual double download(const Buffer& src, tensor::MatrixView host,
@@ -131,9 +133,10 @@ class Backend {
   virtual double csr_matmul_tn(const Buffer& delta, const Buffer& x,
                                tensor::Index batch, const Buffer& grad_w,
                                double issue) = 0;
-  // Fused softmax + cross-entropy: writes dLoss/dlogits into `dlogits`,
-  // stores the mean loss into *loss, and charges the kernel plus the
-  // one-scalar D2H return of the loss value.
+  // Fused softmax + cross-entropy: writes dLoss/dlogits into `dlogits`
+  // (skipped for a null handle: the forward-only loss), stores the mean
+  // loss into *loss, and charges the kernel plus the one-scalar D2H return
+  // of the loss value.
   virtual double softmax_xent(const Buffer& logits,
                               std::span<const std::int32_t> labels,
                               const Buffer& dlogits, tensor::Index batch,

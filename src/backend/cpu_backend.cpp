@@ -16,21 +16,23 @@ using tensor::Scalar;
 
 namespace {
 
-// Process-global device counters, cached once: kernels and transfers are
-// on the replica worker's hot path, so the registry map lookup must not
-// recur.
-struct DeviceMetrics {
+// Process-global backend counters, cached once: kernels and transfers are
+// on the workers' hot paths, so the registry map lookup must not recur.
+struct BackendMetrics {
   obs::Counter& transfers =
       obs::MetricsRegistry::instance().counter("hetsgd_gpu_transfers_total");
   obs::Counter& transfer_bytes = obs::MetricsRegistry::instance().counter(
       "hetsgd_gpu_transfer_bytes_total");
   obs::Counter& kernels =
       obs::MetricsRegistry::instance().counter("hetsgd_gpu_kernels_total");
+  // GEMM-family kernels run by zero-copy (host) backends.
+  obs::Counter& host_gemms =
+      obs::MetricsRegistry::instance().counter("hetsgd_host_gemms_total");
 };
 
-DeviceMetrics& device_metrics() {
+BackendMetrics& backend_metrics() {
   // hetsgd-lint: allow(naked-new) leaked singleton: outlives statics
-  static DeviceMetrics* m = new DeviceMetrics();
+  static BackendMetrics* m = new BackendMetrics();
   return *m;
 }
 
@@ -66,8 +68,13 @@ double CpuBackend::charge(double cost, double issue) {
 }
 
 double CpuBackend::charge_kernel(double cost, double issue) {
-  if (mode_ == Mode::kDevice) device_metrics().kernels.inc();
+  if (mode_ == Mode::kDevice) backend_metrics().kernels.inc();
   return charge(cost, issue);
+}
+
+double CpuBackend::charge_gemm(double cost, double issue) {
+  if (mode_ == Mode::kZeroCopy) backend_metrics().host_gemms.inc();
+  return charge_kernel(cost, issue);
 }
 
 void CpuBackend::check_transfer_fault(const char* direction) {
@@ -136,8 +143,8 @@ double CpuBackend::transfer(const char* span_name, const char* direction,
   ++transfers_;
   bytes_moved_ += bytes;
   if (!device) return issue;
-  device_metrics().transfers.inc();
-  device_metrics().transfer_bytes.inc(bytes);
+  backend_metrics().transfers.inc();
+  backend_metrics().transfer_bytes.inc(bytes);
   const double done = charge(perf_.transfer_seconds(bytes), issue);
   span.set_end_vt(done);
   return done;
@@ -153,10 +160,11 @@ double CpuBackend::upload(tensor::ConstMatrixView host, const Buffer& dst,
 
 double CpuBackend::download(const Buffer& src, tensor::MatrixView host,
                             double issue) {
-  HETSGD_ASSERT(host.rows() == src.rows && host.cols() == src.cols,
+  HETSGD_ASSERT(host.rows() <= src.rows && host.cols() == src.cols,
                 "D2H copy shape mismatch");
   return transfer("d2h_copy", "D2H", view(src).data(), host.data(),
-                  src.bytes(), issue);
+                  static_cast<std::uint64_t>(host.size()) * sizeof(Scalar),
+                  issue);
 }
 
 double CpuBackend::stage_batch(tensor::ConstMatrixView x, Buffer& dst,
@@ -219,7 +227,7 @@ double CpuBackend::gemm_bias_act(const Buffer& x, const Buffer& w,
   auto ov = rows(out, batch);
   tensor::gemm_bias_act(tensor::Trans::kNo, tensor::Trans::kYes, Scalar{1},
                         xv, wv, ov, view(bias), epilogue);
-  return charge_kernel(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
+  return charge_gemm(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
 }
 
 double CpuBackend::csr_bias_act(const Buffer& x, const Buffer& w,
@@ -228,15 +236,15 @@ double CpuBackend::csr_bias_act(const Buffer& x, const Buffer& w,
                                 double issue) {
   tensor::csr_bias_act(csr_rows(x, batch), view(w), rows(out, batch),
                        view(bias), epilogue);
-  return charge_kernel(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
+  return charge_gemm(perf_.gemm_seconds(batch, w.rows, w.cols), issue);
 }
 
 double CpuBackend::csr_matmul_tn(const Buffer& delta, const Buffer& x,
                                  Index batch, const Buffer& grad_w,
                                  double issue) {
   tensor::csr_matmul_tn(rows(delta, batch), csr_rows(x, batch), view(grad_w));
-  return charge_kernel(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
-                       issue);
+  return charge_gemm(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
+                     issue);
 }
 
 double CpuBackend::softmax_xent(const Buffer& logits,
@@ -244,8 +252,10 @@ double CpuBackend::softmax_xent(const Buffer& logits,
                                 const Buffer& dlogits, Index batch,
                                 Scalar* loss, double issue) {
   auto lv = rows(logits, batch);
-  auto dv = rows(dlogits, batch);
-  const Scalar l = nn::softmax_cross_entropy(lv, labels, &dv);
+  tensor::MatrixView dv;
+  if (dlogits.valid()) dv = rows(dlogits, batch);
+  const Scalar l = nn::softmax_cross_entropy(
+      lv, labels, dlogits.valid() ? &dv : nullptr);
   if (loss != nullptr) *loss = l;
   double t = charge_kernel(perf_.elementwise_seconds(
                                static_cast<std::uint64_t>(lv.size()) * 6),
@@ -258,8 +268,8 @@ double CpuBackend::softmax_xent(const Buffer& logits,
 double CpuBackend::matmul_tn(const Buffer& delta, const Buffer& prev,
                              Index batch, const Buffer& grad_w, double issue) {
   tensor::matmul_tn(rows(delta, batch), rows(prev, batch), view(grad_w));
-  return charge_kernel(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
-                       issue);
+  return charge_gemm(perf_.gemm_seconds(grad_w.rows, grad_w.cols, batch),
+                     issue);
 }
 
 double CpuBackend::col_sums(const Buffer& m, Index batch, const Buffer& out,
@@ -273,7 +283,7 @@ double CpuBackend::col_sums(const Buffer& m, Index batch, const Buffer& out,
 double CpuBackend::matmul_nn(const Buffer& delta, const Buffer& w, Index batch,
                              const Buffer& out, double issue) {
   tensor::matmul_nn(rows(delta, batch), view(w), rows(out, batch));
-  return charge_kernel(perf_.gemm_seconds(batch, w.cols, w.rows), issue);
+  return charge_gemm(perf_.gemm_seconds(batch, w.cols, w.rows), issue);
 }
 
 double CpuBackend::activation_backward(nn::Activation act,

@@ -9,7 +9,8 @@
 //    batches analytically through the cost model, exactly as the CPU
 //    worker always has. Kernels reduce to direct tensor:: calls, so this
 //    mode's arithmetic — and its data races on shared storage — are
-//    bit-for-bit the pre-seam host path.
+//    bit-for-bit the pre-seam host path. GEMM-family kernels tick the
+//    process-wide hetsgd_host_gemms_total counter.
 //
 //  * kDevice — the replica configuration (core::make_device_backend):
 //    behaves like a discrete device that happens to be the host. Buffers
@@ -112,6 +113,9 @@ class CpuBackend final : public Backend {
   double charge(double cost, double issue);
   // charge() for a kernel launch: kDevice also ticks the kernel counter.
   double charge_kernel(double cost, double issue);
+  // charge_kernel() for a GEMM-family kernel: kZeroCopy also ticks the
+  // host GEMM counter.
+  double charge_gemm(double cost, double issue);
   // The H2D/D2H copy both directions share: fault check, memcpy, transfer
   // accounting and the modeled link charge.
   double transfer(const char* span_name, const char* direction,

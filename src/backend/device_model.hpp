@@ -1,25 +1,18 @@
-// Device-model vocabulary re-exported through the backend seam.
+// Device-model vocabulary: device kinds, specs, the analytic perf model
+// and virtual clocks.
 //
-// Code outside src/backend/ and src/gpusim/ that needs the modeled-hardware
-// vocabulary — device kinds, specs, analytic perf models, virtual clocks —
-// includes this header instead of gpusim directly (the gpusim-include lint
-// rule, tools/lint/hetsgd_lint.py). gpusim holds only the *model*; what
-// executes on a device is a Backend, which is exactly the split a real
-// multi-device port needs: schedulers reason about specs, only backends
-// touch devices.
+// Code that reasons about modeled hardware — schedulers, cost models,
+// benches — includes this header; what executes on a device is a Backend
+// (backend/backend.hpp). The model lives in backend/perf_model.hpp and
+// backend/virtual_clock.hpp.
 #pragma once
 
-#include "gpusim/perf_model.hpp"
-#include "gpusim/virtual_clock.hpp"
+#include "backend/perf_model.hpp"
+#include "backend/virtual_clock.hpp"
 
-namespace hetsgd::backend {
+namespace hetsgd {
 
-using gpusim::DeviceKind;
-using gpusim::DeviceSpec;
-using gpusim::PerfModel;
-using gpusim::VirtualClock;
-using gpusim::v100_spec;
-using gpusim::xeon56_spec;
-using gpusim::xeon_spec;
+// The model's former namespace, still spelled by callers outside src/.
+namespace gpusim = backend;
 
-}  // namespace hetsgd::backend
+}  // namespace hetsgd

@@ -101,19 +101,16 @@ double MlpExecutor::upload_model(const nn::Model& model, double issue_time) {
   return t;
 }
 
-Scalar MlpExecutor::compute_gradient(const tensor::InputView& x,
-                                     std::span<const std::int32_t> labels,
-                                     double issue_time,
-                                     double* completion_time) {
+bool MlpExecutor::forward(const tensor::InputView& x,
+                          std::span<const std::int32_t> labels,
+                          double issue_time) {
   const Index batch = x.rows();
   HETSGD_ASSERT(batch > 0 && batch <= max_batch_, "batch exceeds max_batch");
   HETSGD_ASSERT(x.cols() == config_.input_dim, "batch width mismatch");
   HETSGD_ASSERT(static_cast<Index>(labels.size()) == batch,
                 "label count mismatch");
-  HETSGD_ASSERT(!replica_.empty() && !gradient_.empty(),
+  HETSGD_ASSERT(!replica_.empty(),
                 "executor not bound (zero-copy backends need bind_* first)");
-
-  const std::size_t layers = replica_.size();
 
   // H2D: the batch itself, labels riding along (4 bytes each, charged
   // without a dedicated buffer — the loss kernel is the only consumer).
@@ -126,8 +123,9 @@ Scalar MlpExecutor::compute_gradient(const tensor::InputView& x,
     backend_.stage_batch(x.dense(), input_, label_bytes, issue_time);
   }
 
-  // Forward: per layer one fused kernel out = act(A_prev * W^T + b); the
-  // output layer keeps raw logits (bias only).
+  // Per layer one fused kernel out = act(A_prev * W^T + b); the output
+  // layer keeps raw logits (bias only).
+  const std::size_t layers = replica_.size();
   Buffer prev = input_;
   for (std::size_t l = 0; l < layers; ++l) {
     const tensor::Epilogue ep =
@@ -142,6 +140,31 @@ Scalar MlpExecutor::compute_gradient(const tensor::InputView& x,
     }
     prev = acts_[l];
   }
+  return sparse;
+}
+
+Scalar MlpExecutor::compute_loss(const tensor::InputView& x,
+                                 std::span<const std::int32_t> labels,
+                                 double issue_time, double* completion_time) {
+  forward(x, labels, issue_time);
+  Scalar loss = 0;
+  backend_.softmax_xent(acts_.back(), labels, Buffer{}, x.rows(), &loss,
+                        issue_time);
+  if (completion_time != nullptr) {
+    *completion_time = backend_.synchronize(issue_time);
+  }
+  return loss;
+}
+
+Scalar MlpExecutor::compute_gradient(const tensor::InputView& x,
+                                     std::span<const std::int32_t> labels,
+                                     double issue_time,
+                                     double* completion_time) {
+  HETSGD_ASSERT(!gradient_.empty(),
+                "executor not bound (zero-copy backends need bind_* first)");
+  const bool sparse = forward(x, labels, issue_time);
+  const Index batch = x.rows();
+  const std::size_t layers = replica_.size();
 
   // Loss + dLoss/dlogits (fused softmax-xent kernel).
   Scalar loss = 0;
@@ -211,6 +234,11 @@ double MlpExecutor::download_model(nn::Model& model, double issue_time) {
                           issue_time);
   }
   return t;
+}
+
+double MlpExecutor::download_logits(tensor::MatrixView logits,
+                                   double issue_time) {
+  return backend_.download(acts_.back(), logits, issue_time);
 }
 
 void MlpExecutor::release_buffers() {

@@ -1,27 +1,29 @@
-// Backend-parameterized MLP training executor: the one forward / backward /
-// update sequence both worker kinds run.
-//
-// Replaces the host nn::Mlp free-function path and nn::DeviceMlp with a
-// single kernel sequence issued through a Backend. The sequence (and so
-// the arithmetic, bit for bit) is the one the two paths always shared:
+// Backend-parameterized MLP executor: the one forward / backward / update
+// sequence of the code base. Hogwild lanes, the GPU replica, the TF
+// reference, SVRG and every loss evaluation run it; no other code issues
+// the MLP's layer kernels.
 //
 //   stage batch -> per-layer fused gemm+bias+act -> fused softmax-xent ->
 //   per-layer dW = delta^T*prev, db = colsum(delta),
 //             delta' = (delta*W) ⊙ act'  -> (optional) on-device axpy
 //
+// compute_gradient() runs all of it; compute_loss() stops after the loss
+// (evaluation must not pay for a backward pass). A CSR batch runs layer 0
+// on the backend's csr_* kernels; every other layer is dense either way.
+//
 // Two buffer regimes, chosen by the backend's zero_copy() capability:
 //
 //  * Private replica (CpuBackend::kDevice): the constructor allocates
-//    replica, gradient, activation and staging buffers in device memory —
-//    in the same order the DeviceMlp did, so capacity-exceeded aborts fire
-//    identically — and upload_model / download_gradient / download_model
-//    really move bytes (and really hit fault injection).
+//    replica, gradient, activation and staging buffers in device memory,
+//    and upload_model / download_gradient / download_model really move
+//    bytes (and really hit fault injection).
 //
 //  * Zero-copy (CpuBackend::kZeroCopy): bind_shared_model() /
 //    bind_host_gradient() adopt live host storage, so the "replica" IS the
-//    shared global model (Hogwild's reference replica — no copy), uploads
-//    and downloads are free no-ops, and stage_batch aliases the dataset
-//    rows in place.
+//    host model (Hogwild's reference replica — no copy), uploads and
+//    downloads of it are free no-ops, and stage_batch aliases the dataset
+//    rows in place. backend::HostExecutor (host_executor.hpp) packages
+//    this regime for host callers.
 //
 // Confinement follows the owning backend: one executor, one thread.
 #pragma once
@@ -66,11 +68,17 @@ class MlpExecutor {
   // Forward + backward over `x` (batch x input_dim). Returns the batch
   // loss; sets `*completion_time` (if non-null) to the synchronized queue
   // time. The gradient lands in the gradient buffers (== the bound host
-  // gradient under zero-copy). A CSR batch runs layer 0 on the backend's
-  // csr_* kernels; the charged virtual time is the dense batch's.
+  // gradient under zero-copy). A CSR batch is charged as the dense batch.
   tensor::Scalar compute_gradient(const tensor::InputView& x,
                                   std::span<const std::int32_t> labels,
                                   double issue_time, double* completion_time);
+
+  // Forward + fused softmax-xent over `x`, no backward: the evaluation
+  // entry. Returns the batch loss; needs no gradient buffers. The logits
+  // stay on the backend for download_logits().
+  tensor::Scalar compute_loss(const tensor::InputView& x,
+                              std::span<const std::int32_t> labels,
+                              double issue_time, double* completion_time);
 
   // replica <- replica - eta * gradient, entirely backend-side.
   double apply_gradient(tensor::Scalar eta, double issue_time);
@@ -78,6 +86,9 @@ class MlpExecutor {
   // Moves the gradient / replica to host storage (no-op when bound).
   double download_gradient(nn::Gradient& grad, double issue_time);
   double download_model(nn::Model& model, double issue_time);
+  // Copies the first logits.rows() rows of the last forward pass's logits
+  // (batch x num_classes) to host storage.
+  double download_logits(tensor::MatrixView logits, double issue_time);
 
   // Frees every buffer (worker retirement / epoch trim); the executor is
   // unusable afterwards until rebuilt.
@@ -88,6 +99,11 @@ class MlpExecutor {
     Buffer weights;
     Buffer bias;
   };
+
+  // Stages `x` and runs the fused forward layers; the logits land in
+  // acts_.back(). Returns whether the batch was staged as CSR.
+  bool forward(const tensor::InputView& x,
+               std::span<const std::int32_t> labels, double issue_time);
 
   Backend& backend_;
   nn::MlpConfig config_;

@@ -1,4 +1,4 @@
-#include "gpusim/perf_model.hpp"
+#include "backend/perf_model.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include "common/macros.hpp"
 #include "tensor/gemm.hpp"
 
-namespace hetsgd::gpusim {
+namespace hetsgd::backend {
 
 DeviceSpec v100_spec() {
   DeviceSpec s;
@@ -111,4 +111,4 @@ double PerfModel::utilization(double batch) const {
   return std::clamp(efficiency(batch) / spec_.max_efficiency, 0.0, 1.0);
 }
 
-}  // namespace hetsgd::gpusim
+}  // namespace hetsgd::backend

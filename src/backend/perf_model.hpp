@@ -17,7 +17,7 @@
 
 #include "tensor/types.hpp"
 
-namespace hetsgd::gpusim {
+namespace hetsgd::backend {
 
 enum class DeviceKind { kCpu, kGpu };
 
@@ -61,7 +61,7 @@ struct DeviceSpec {
   // (device-local updates run at full memory bandwidth instead).
   double update_bandwidth = 0.0;
 
-  // Device memory capacity in bytes (enforced by DeviceAllocator).
+  // Device memory capacity in bytes (enforced by CpuBackend::alloc).
   std::uint64_t memory_capacity = 16ULL << 30;
 
   // Number of concurrent hardware lanes (worker threads on CPU; informative
@@ -107,4 +107,4 @@ class PerfModel {
   DeviceSpec spec_;
 };
 
-}  // namespace hetsgd::gpusim
+}  // namespace hetsgd::backend

@@ -16,7 +16,7 @@
 
 #include "common/macros.hpp"
 
-namespace hetsgd::gpusim {
+namespace hetsgd::backend {
 
 class VirtualClock {
  public:
@@ -45,4 +45,4 @@ class VirtualClock {
   double now_ = 0.0;
 };
 
-}  // namespace hetsgd::gpusim
+}  // namespace hetsgd::backend

@@ -9,7 +9,7 @@
 // through the head_/tail_ release/acquire protocol: the producer only
 // writes slots in [tail, head+capacity), the consumer only reads slots in
 // [tail, head) — never the same slot concurrently. Adding a second
-// producer or consumer is a data race; use MpscQueue or BlockingQueue.
+// producer or consumer is a data race; use MpscQueue.
 #pragma once
 
 #include <atomic>

@@ -617,7 +617,7 @@ void Coordinator::maybe_flip_epoch() {
   // Epoch barrier: drop the evaluation scratch back to zero so its
   // high-water batch (the eval chunk) is not pinned across epochs; the
   // next evaluate_loss() regrows it on demand.
-  eval_ws_.release();
+  eval_exec_.release();
   if (config_.charge_loss_eval_to_gpu) {
     // Forward pass over the dataset on the GPU: utilization spike of Fig 7.
     const double eval_cost =
@@ -667,10 +667,9 @@ void Coordinator::evaluate_loss(double vtime) {
   // lanes' unsynchronized writes (nn::Model::operator= in tsan.supp);
   // evaluating the snapshot keeps the measurement internally consistent.
   eval_snapshot_ = model_;
-  const double loss =
-      nn::mean_loss(eval_snapshot_,
-                    eval_set_.batch(0, eval_set_.example_count()),
-                    eval_set_.labels(), eval_ws_);
+  const double loss = eval_exec_.mean_loss(
+      eval_snapshot_, eval_set_.batch(0, eval_set_.example_count()),
+      eval_set_.labels());
   if (!std::isfinite(loss)) {
     handle_divergence(vtime, loss);
     return;

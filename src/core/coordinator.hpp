@@ -44,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend/host_executor.hpp"
 #include "common/thread_annotations.hpp"
 #include "core/adaptive.hpp"
 #include "core/checkpoint.hpp"
@@ -53,7 +54,6 @@
 #include "core/utilization.hpp"
 #include "data/dataset.hpp"
 #include "msg/actor.hpp"
-#include "nn/mlp.hpp"
 
 namespace hetsgd::core {
 
@@ -298,7 +298,9 @@ class Coordinator final : public msg::Actor {
   // Loss evaluation sample (copied rows in the dataset's layout, immune to
   // dataset shuffles).
   data::Dataset eval_set_;  // immutable after construction
-  nn::Workspace eval_ws_ HETSGD_GUARDED_BY(mu_);
+  // Forward-only executor bound to eval_snapshot_ (copy-assigned in
+  // place, so the binding survives every evaluation).
+  backend::HostExecutor eval_exec_ HETSGD_GUARDED_BY(mu_);
   nn::Model eval_snapshot_ HETSGD_GUARDED_BY(mu_);
 
   std::vector<LossPoint> curve_ HETSGD_GUARDED_BY(mu_);

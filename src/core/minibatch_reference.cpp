@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <memory>
 
+#include "backend/host_executor.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/macros.hpp"
 #include "core/worker.hpp"
-#include "nn/mlp.hpp"
 
 namespace hetsgd::core {
 
@@ -39,10 +39,10 @@ ReferenceResult run_minibatch_reference(data::Dataset& dataset,
     const std::vector<Index> rows(idx.begin(), idx.begin() + sample);
     eval_set = dataset.gather(rows, "reference-eval");
   }
-  nn::Workspace eval_ws;
-  auto eval_loss = [&](nn::Model& m) {
-    return nn::mean_loss(m, eval_set.batch(0, sample), eval_set.labels(),
-                         eval_ws);
+  backend::HostExecutor eval_exec;
+  auto eval_loss = [&](const nn::Model& m) {
+    return eval_exec.mean_loss(m, eval_set.batch(0, sample),
+                               eval_set.labels());
   };
 
   // TF-style: model uploaded once and kept resident across steps.

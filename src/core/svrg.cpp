@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "backend/host_executor.hpp"
 #include "common/macros.hpp"
 #include "core/cost_model.hpp"
-#include "nn/mlp.hpp"
 
 namespace hetsgd::core {
 
@@ -26,7 +26,10 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   nn::Gradient mu = nn::make_zero_gradient(w);      // full gradient at w~
   nn::Gradient g_cur = nn::make_zero_gradient(w);   // batch grad at w
   nn::Gradient g_snap = nn::make_zero_gradient(w);  // batch grad at w~
-  nn::Workspace ws;
+  // One executor per iterate: each stays bound to its model (the snapshot
+  // is copy-assigned in place), so alternating them never rebinds.
+  backend::HostExecutor at_w;
+  backend::HostExecutor at_snapshot;
 
   const Index n = dataset.example_count();
   const Index batch = std::min(options.batch, n);
@@ -51,7 +54,7 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
   }
   const data::Dataset eval_set = dataset.gather(eval_rows, "svrg-eval");
   auto eval_loss = [&](const nn::Model& m) {
-    return nn::mean_loss(m, eval_set.batch(0, sample), eval_set.labels(), ws);
+    return at_w.mean_loss(m, eval_set.batch(0, sample), eval_set.labels());
   };
 
   SvrgResult result;
@@ -76,7 +79,8 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
       const Index count = std::min<Index>(8192, n - begin);
       auto x = dataset.batch(begin, count);
       auto y = dataset.batch_labels(begin, count);
-      nn::compute_gradient(snapshot, x, y, ws, g_snap);
+      at_snapshot.bind(snapshot, g_snap, count)
+          .compute_gradient(x, y, 0.0, nullptr);
       mu.axpy(static_cast<Scalar>(count) / static_cast<Scalar>(n), g_snap);
     }
     clock += full_pass_cost;
@@ -92,8 +96,9 @@ SvrgResult run_svrg(data::Dataset& dataset, const TrainingConfig& config,
       }
       auto x = dataset.batch(cursor, batch);
       auto y = dataset.batch_labels(cursor, batch);
-      nn::compute_gradient(w, x, y, ws, g_cur);
-      nn::compute_gradient(snapshot, x, y, ws, g_snap);
+      at_w.bind(w, g_cur, batch).compute_gradient(x, y, 0.0, nullptr);
+      at_snapshot.bind(snapshot, g_snap, batch)
+          .compute_gradient(x, y, 0.0, nullptr);
       // w -= eta * (g_cur - g_snap + mu)
       w.axpy(static_cast<Scalar>(-eta), g_cur);
       w.axpy(static_cast<Scalar>(eta), g_snap);

@@ -334,8 +334,7 @@ TrainingResult Trainer::run_framework() {
              !elastic_stop.load(std::memory_order_acquire)) {
         const ElasticEvent& ev = elastic.events[next];
         if (coordinator.final_vtime() < ev.at_vtime) {
-          // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-          // hetsgd-lint: allow(wall-clock) the controller models an
+          // hetsgd-analyze: allow(wall-clock-core) the controller models an
           // operator outside the virtual-time system; it polls in real time.
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
           continue;

@@ -49,13 +49,16 @@ Worker::Worker(msg::WorkerId id, const TrainingConfig& config,
     const std::size_t lanes = pool_->thread_count() + 1;
     gradients_.reserve(lanes);
     optimizers_.reserve(lanes);
+    lanes_.reserve(lanes);
+    // Lanes start sized for the configured per-thread examples and grow on
+    // demand in execute_hogwild().
+    const Index rows = std::max<Index>(1, config_.cpu.examples_per_thread);
     for (std::size_t i = 0; i < lanes; ++i) {
       gradients_.push_back(nn::make_zero_gradient(model_));
       optimizers_.emplace_back(config.optimizer, model_);
+      lanes_.emplace_back(config.cpu.spec);
+      lanes_.back().bind(model_, gradients_.back(), rows);
     }
-    // Lanes start sized for the configured per-thread examples and grow on
-    // demand (ensure_lane_capacity), like the old Workspace did.
-    ensure_lane_capacity(std::max<Index>(1, config_.cpu.examples_per_thread));
     return;
   }
   backend_ = make_device_backend(config);
@@ -69,34 +72,8 @@ const backend::PerfModel& Worker::perf() const {
   return mode_ == ExecMode::kHogwild ? hogwild_perf_ : backend_->perf();
 }
 
-void Worker::ensure_lane_capacity(Index sub_batch) {
-  if (sub_batch <= lane_capacity_ && !lane_executors_.empty()) return;
-  const std::size_t lanes = gradients_.size();
-  // Executors free their buffers through their Backend on destruction, so
-  // they must go before the backends they reference.
-  lane_executors_.clear();
-  lane_backends_.clear();
-  lane_backends_.reserve(lanes);
-  lane_executors_.reserve(lanes);
-  for (std::size_t i = 0; i < lanes; ++i) {
-    auto b = std::make_unique<backend::CpuBackend>(
-        config_.cpu.spec, backend::CpuBackend::Mode::kZeroCopy);
-    auto e = std::make_unique<backend::MlpExecutor>(*b, config_.mlp,
-                                                    sub_batch);
-    // The executor's "replica" is the live shared model: Hogwild's
-    // reference replica, raced against every other lane by design.
-    e->bind_shared_model(model_);
-    e->bind_host_gradient(gradients_[i]);
-    lane_backends_.push_back(std::move(b));
-    lane_executors_.push_back(std::move(e));
-  }
-  lane_capacity_ = sub_batch;
-}
-
 void Worker::release_scratch() {
-  lane_executors_.clear();
-  lane_backends_.clear();
-  lane_capacity_ = 0;
+  for (auto& lane : lanes_) lane.release();
   if (executor_) executor_->release_buffers();
 }
 
@@ -182,9 +159,8 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
     stall = fault_plan_->stall(id_, clock_.now());
     if (stall.sleep_ms > 0) {
       // Real stall: visible to the coordinator's real-time grace fallback.
-      // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-      // hetsgd-lint: allow(wall-clock) injected stalls must consume real
-      // time, not virtual time, to exercise real-time silence detection.
+      // hetsgd-analyze: allow(wall-clock-core) injected stalls must consume
+      // real time, not virtual time, to exercise real-time silence detection.
       std::this_thread::sleep_for(std::chrono::milliseconds(stall.sleep_ms));
     }
   }
@@ -194,7 +170,11 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
   // handler). Tail batches (epoch remainders) may produce fewer sub-batches.
   const Index sub_batch = std::max<Index>(1, size / t);
   const Index num_sub = (size + sub_batch - 1) / sub_batch;
-  ensure_lane_capacity(sub_batch);
+  // Each lane's executor aliases the live shared model: Hogwild's
+  // reference replica, raced against every other lane by design.
+  for (std::size_t i = 0; i < lanes_.size(); ++i) {
+    lanes_[i].bind(model_, gradients_[i], sub_batch);
+  }
   // The dispatched rate tracks config_.learning_rate except after a
   // divergence rollback, when the coordinator backs it off; honor the
   // ratio so the backoff reaches the capped effective rate too.
@@ -216,7 +196,7 @@ bool Worker::execute_hogwild(const msg::ExecuteWork& work) {
     pool_->parallel_for(
       static_cast<std::size_t>(num_sub),
       [&](std::size_t first, std::size_t last, std::size_t lane) {
-        backend::MlpExecutor& exec = *lane_executors_[lane];
+        backend::MlpExecutor& exec = lanes_[lane].executor();
         nn::Gradient& grad = gradients_[lane];
         for (std::size_t i = first; i < last; ++i) {
           const Index sb_begin = begin + static_cast<Index>(i) * sub_batch;
@@ -295,9 +275,8 @@ bool Worker::execute_replica(const msg::ExecuteWork& work) {
     }
     stall = fault_plan_->stall(id_, clock_.now());
     if (stall.sleep_ms > 0) {
-      // hetsgd-analyze: allow(wall-clock-core) same sanction as below.
-      // hetsgd-lint: allow(wall-clock) injected stalls must consume real
-      // time, not virtual time, to exercise real-time silence detection.
+      // hetsgd-analyze: allow(wall-clock-core) injected stalls must consume
+      // real time, not virtual time, to exercise real-time silence detection.
       std::this_thread::sleep_for(std::chrono::milliseconds(stall.sleep_ms));
     }
     const std::int64_t transfer_faults =

@@ -29,13 +29,14 @@
 #include <vector>
 
 #include "backend/backend.hpp"
+#include "backend/host_executor.hpp"
 #include "backend/mlp_executor.hpp"
 #include "concurrent/thread_pool.hpp"
 #include "core/config.hpp"
 #include "core/fault.hpp"
 #include "data/dataset.hpp"
 #include "msg/actor.hpp"
-#include "nn/mlp.hpp"
+#include "nn/optimizer.hpp"
 
 namespace hetsgd::core {
 
@@ -89,9 +90,6 @@ class Worker final : public msg::Actor {
   bool execute(const msg::ExecuteWork& work);
   bool execute_hogwild(const msg::ExecuteWork& work);
   bool execute_replica(const msg::ExecuteWork& work);
-  // Grows the per-lane executors to hold `sub_batch` rows (the Workspace
-  // growth of the pre-seam path, now explicit and releasable).
-  void ensure_lane_capacity(tensor::Index sub_batch);
   void release_scratch();
   void request_work(std::uint64_t examples, double intensity,
                     std::uint64_t sequence, double staleness = 0.0);
@@ -115,12 +113,9 @@ class Worker final : public msg::Actor {
   double updates_scaled_ = 0.0;
   std::unique_ptr<concurrent::ThreadPool> pool_;
   // Per physical lane (lanes process multiple logical sub-batches): a
-  // zero-copy backend + executor bound to the shared model and the lane's
-  // gradient slab.
-  std::vector<std::unique_ptr<backend::Backend>> lane_backends_;
-  std::vector<std::unique_ptr<backend::MlpExecutor>> lane_executors_;
-  tensor::Index lane_capacity_ = 0;
+  // host executor bound to the shared model and the lane's gradient slab.
   std::vector<nn::Gradient> gradients_;
+  std::vector<backend::HostExecutor> lanes_;
   std::vector<nn::Optimizer> optimizers_;
 
   // --- kReplica state ----------------------------------------------------

@@ -46,38 +46,6 @@ tensor::Scalar softmax_cross_entropy(tensor::ConstMatrixView logits,
   return total_loss * inv_b;
 }
 
-tensor::Scalar sigmoid_bce(tensor::ConstMatrixView logits,
-                           tensor::ConstMatrixView targets,
-                           tensor::MatrixView* dlogits) {
-  const Index b = logits.rows();
-  const Index c = logits.cols();
-  HETSGD_ASSERT(targets.rows() == b && targets.cols() == c,
-                "targets shape mismatch");
-  if (dlogits != nullptr) {
-    HETSGD_ASSERT(dlogits->rows() == b && dlogits->cols() == c,
-                  "dlogits shape mismatch");
-  }
-  const Scalar inv_b = Scalar{1} / static_cast<Scalar>(b);
-  Scalar total = 0;
-  for (Index r = 0; r < b; ++r) {
-    const Scalar* z = logits.row(r);
-    const Scalar* t = targets.row(r);
-    Scalar* g = dlogits != nullptr ? dlogits->row(r) : nullptr;
-    for (Index j = 0; j < c; ++j) {
-      // Numerically stable: log(1+exp(-|z|)) + max(z,0) - z*t.
-      const Scalar zj = z[j];
-      const Scalar softplus = std::log1p(std::exp(-std::abs(zj))) +
-                              std::max(zj, Scalar{0});
-      total += softplus - zj * t[j];
-      if (g != nullptr) {
-        const Scalar sig = Scalar{1} / (Scalar{1} + std::exp(-zj));
-        g[j] = (sig - t[j]) * inv_b;
-      }
-    }
-  }
-  return total * inv_b;
-}
-
 double accuracy(tensor::ConstMatrixView logits,
                 std::span<const std::int32_t> labels) {
   const Index b = logits.rows();

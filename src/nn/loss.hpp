@@ -1,8 +1,7 @@
 // Loss functions and their gradients with respect to the logits.
 //
-// The paper's experiments use softmax + cross-entropy (§VII-A); the
-// sigmoid+BCE multi-label loss covers the delicious-style setting where an
-// example carries several labels at once.
+// The paper trains all four datasets with softmax + cross-entropy
+// (§VII-A).
 #pragma once
 
 #include <cstdint>
@@ -12,25 +11,12 @@
 
 namespace hetsgd::nn {
 
-enum class LossKind {
-  kSoftmaxCrossEntropy,  // labels: one class index per example
-  kSigmoidBce,           // labels: dense 0/1 target matrix
-};
-
 // Mean softmax cross-entropy over the batch. `logits` is B x C, `labels`
 // holds B class indices in [0, C). If `dlogits` is non-null it receives
 // dLoss/dlogits = (softmax(logits) - onehot) / B.
 tensor::Scalar softmax_cross_entropy(tensor::ConstMatrixView logits,
                                      std::span<const std::int32_t> labels,
                                      tensor::MatrixView* dlogits);
-
-// Mean element-wise sigmoid binary cross-entropy. `targets` is B x C of
-// {0,1}. If `dlogits` is non-null it receives
-// dLoss/dlogits = (sigmoid(logits) - targets) / (B*C)... normalized per
-// example (divided by B only) so magnitudes are comparable with softmax.
-tensor::Scalar sigmoid_bce(tensor::ConstMatrixView logits,
-                           tensor::ConstMatrixView targets,
-                           tensor::MatrixView* dlogits);
 
 // Fraction of examples whose argmax(logits) equals the label.
 double accuracy(tensor::ConstMatrixView logits,

@@ -1,12 +1,8 @@
 #include "nn/metrics.hpp"
 
-#include <algorithm>
-
 #include "common/macros.hpp"
 
 namespace hetsgd::nn {
-
-using tensor::Index;
 
 ConfusionMatrix::ConfusionMatrix(std::int32_t classes)
     : classes_(classes),
@@ -71,31 +67,6 @@ double ConfusionMatrix::macro_f1() const {
     sum += f1(c);
   }
   return sum / static_cast<double>(classes_);
-}
-
-ConfusionMatrix evaluate_classifier(const Model& model,
-                                    const tensor::InputView& x,
-                                    std::span<const std::int32_t> labels,
-                                    Workspace& ws) {
-  HETSGD_ASSERT(static_cast<Index>(labels.size()) == x.rows(),
-                "label count != example count");
-  ConfusionMatrix cm(static_cast<std::int32_t>(model.config().num_classes));
-  const Index chunk = 512;
-  for (Index begin = 0; begin < x.rows(); begin += chunk) {
-    const Index count = std::min(chunk, x.rows() - begin);
-    forward(model, x.rows_view(begin, count), ws);
-    auto logits = ws.logits().rows_view(0, count);
-    for (Index r = 0; r < count; ++r) {
-      const tensor::Scalar* row = logits.row(r);
-      Index best = 0;
-      for (Index c = 1; c < logits.cols(); ++c) {
-        if (row[c] > row[best]) best = c;
-      }
-      cm.add(labels[static_cast<std::size_t>(begin + r)],
-             static_cast<std::int32_t>(best));
-    }
-  }
-  return cm;
 }
 
 }  // namespace hetsgd::nn

@@ -1,12 +1,9 @@
-// Classification evaluation metrics over a trained model.
+// Classification evaluation metrics over a trained model
+// (backend::evaluate_classifier fills them).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
-
-#include "nn/mlp.hpp"
-#include "tensor/matrix.hpp"
 
 namespace hetsgd::nn {
 
@@ -35,11 +32,5 @@ class ConfusionMatrix {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };
-
-// Runs the model over (x, labels) in chunks and fills a confusion matrix.
-ConfusionMatrix evaluate_classifier(const Model& model,
-                                    const tensor::InputView& x,
-                                    std::span<const std::int32_t> labels,
-                                    Workspace& ws);
 
 }  // namespace hetsgd::nn

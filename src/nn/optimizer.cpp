@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/macros.hpp"
-#include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "tensor/ops.hpp"
 

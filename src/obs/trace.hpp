@@ -3,7 +3,7 @@
 // Each instrumented thread owns a lock-free SPSC ring of TraceEvents
 // (producer: the thread; sole consumer: the tracer's flusher thread).
 // Events carry BOTH clocks: wall nanoseconds from obs::wall_now_ns()
-// and, where available, gpusim virtual time, so a Perfetto timeline can
+// and, where available, modeled virtual time, so a Perfetto timeline can
 // be cross-referenced against the simulated schedule. Batch-id flow
 // events ('s'/'t'/'f') correlate one batch's journey dispatch -> H2D ->
 // kernel -> report -> ledger apply across threads.

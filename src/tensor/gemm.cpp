@@ -8,7 +8,6 @@
 #endif
 
 #include "common/macros.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/microkernel.hpp"
 #include "tensor/pack.hpp"
@@ -19,15 +18,9 @@ namespace {
 
 // GEMM is the hottest function in the process: the tiny Hogwild products
 // (m=1) run millions of times, so they must never touch the tracer. Only
-// products at least this many flops emit a span; the counter below is a
-// sharded atomic and is always cheap enough to keep.
+// products at least this many flops emit a span. (Kernel counters live at
+// the backend seam, which knows whether a GEMM ran on the host.)
 constexpr double kTraceFlopThreshold = 1e7;
-
-obs::Counter& gemm_counter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::instance().counter("hetsgd_host_gemms_total");
-  return c;
-}
 
 using detail::kKC;
 using detail::kMC;
@@ -303,7 +296,6 @@ void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                b.data(), b.cols(), tb == Trans::kYes,
                c.data(), c.cols(), d.k,    alpha,
                nullptr,  Epilogue::kBias};
-  gemm_counter().inc();
   HETSGD_TRACE_SPAN(span, "tensor",
                     gemm_flops(d.m, d.n, d.k) >= kTraceFlopThreshold
                         ? "packed_gemm"

@@ -62,7 +62,8 @@ void matmul_tn(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 void matmul_nn(ConstMatrixView a, ConstMatrixView b, MatrixView out);
 
 // Number of floating point operations a GEMM of these dimensions performs
-// (2*m*n*k); used by the gpusim perf model to charge virtual time.
+// (2*m*n*k); used by the perf model (backend/perf_model.hpp) to charge
+// virtual time.
 double gemm_flops(Index m, Index n, Index k);
 
 }  // namespace hetsgd::tensor

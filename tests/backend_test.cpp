@@ -1,5 +1,6 @@
 // The device-mode backend: the replica worker's CpuBackend must run the
-// forward/backward/update sequence bit-identically to the host path, charge
+// forward/backward/update sequence bit-identically to the zero-copy mode
+// the Hogwild lanes and host evaluation run, charge
 // exactly the PerfModel formulas on its FIFO queue in virtual time, and
 // account every transfer and kernel in the process-wide device counters.
 // Each kernel of the seam is also pinned on its own, in both modes, against
@@ -20,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include "backend/cpu_backend.hpp"
+#include "backend/host_executor.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
+#include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -58,6 +61,16 @@ struct Fixture {
   }
 };
 
+// The zero-copy reference: the same executor over the host model's own
+// storage, as the Hogwild lanes run it.
+double zero_copy_gradient(nn::Model& model, const Matrix& x,
+                          std::span<const std::int32_t> y,
+                          nn::Gradient& grad) {
+  HostExecutor host;
+  return host.bind(model, grad, x.rows())
+      .compute_gradient(x.view(), y, 0.0, nullptr);
+}
+
 class BackendSuite : public ::testing::Test {
  protected:
   static std::unique_ptr<Backend> make(const DeviceSpec& spec = v100_spec()) {
@@ -71,7 +84,7 @@ TEST_F(BackendSuite, DeviceModeHoldsPrivateReplica) {
   EXPECT_EQ(b->kind(), DeviceKind::kGpu);
 }
 
-TEST_F(BackendSuite, GradientMatchesHostExactly) {
+TEST_F(BackendSuite, GradientMatchesZeroCopyExactly) {
   Fixture f(16);
   auto b = make();
   MlpExecutor mlp(*b, f.config, 16);
@@ -81,13 +94,11 @@ TEST_F(BackendSuite, GradientMatchesHostExactly) {
   nn::Gradient device_grad = nn::make_zero_gradient(f.model);
   mlp.download_gradient(device_grad, done);
 
-  nn::Workspace ws;
   nn::Gradient host_grad = nn::make_zero_gradient(f.model);
-  const double host_loss =
-      nn::compute_gradient(f.model, f.x.view(), f.y, ws, host_grad);
+  const double host_loss = zero_copy_gradient(f.model, f.x, f.y, host_grad);
 
-  // Same kernel sequence as the host path: results are bit-identical.
-  EXPECT_DOUBLE_EQ(device_loss, host_loss);
+  // Same kernel sequence in both modes: results are bit-identical.
+  EXPECT_EQ(device_loss, host_loss);
   EXPECT_EQ(device_grad.max_abs_diff(host_grad), 0.0);
 }
 
@@ -101,13 +112,12 @@ TEST_F(BackendSuite, SmallerBatchThanMaxWorks) {
   nn::Gradient device_grad = nn::make_zero_gradient(f.model);
   mlp.download_gradient(device_grad, done);
 
-  nn::Workspace ws;
   nn::Gradient host_grad = nn::make_zero_gradient(f.model);
-  nn::compute_gradient(f.model, f.x.view(), f.y, ws, host_grad);
+  zero_copy_gradient(f.model, f.x, f.y, host_grad);
   EXPECT_EQ(device_grad.max_abs_diff(host_grad), 0.0);
 }
 
-TEST_F(BackendSuite, ApplyGradientMatchesHostSgd) {
+TEST_F(BackendSuite, ApplyGradientMatchesZeroCopySgd) {
   Fixture f(8);
   auto b = make();
   MlpExecutor mlp(*b, f.config, 8);
@@ -118,9 +128,8 @@ TEST_F(BackendSuite, ApplyGradientMatchesHostSgd) {
   nn::Model replica = f.model;
   mlp.download_model(replica, done);
 
-  nn::Workspace ws;
   nn::Gradient host_grad = nn::make_zero_gradient(f.model);
-  nn::compute_gradient(f.model, f.x.view(), f.y, ws, host_grad);
+  zero_copy_gradient(f.model, f.x, f.y, host_grad);
   nn::Model expected = f.model;
   nn::sgd_step(expected, host_grad, 0.1);
   EXPECT_LT(replica.max_abs_diff(expected), 1e-15);
@@ -229,20 +238,21 @@ TEST_F(BackendSuite, BatchBeyondMaxDies) {
   EXPECT_DEATH(mlp.compute_gradient(f.x.view(), f.y, 0.0, &done), "max_batch");
 }
 
-TEST_F(BackendSuite, TrainingConvergesLikeHost) {
+TEST_F(BackendSuite, TrainingConvergesLikeZeroCopy) {
   Fixture f(32);
   auto b = make();
   MlpExecutor mlp(*b, f.config, 32);
   nn::Model host_model = f.model;
-  nn::Workspace ws;
   nn::Gradient host_grad = nn::make_zero_gradient(host_model);
+  HostExecutor host;
 
   double clock = mlp.upload_model(f.model, 0.0);
   for (int step = 0; step < 20; ++step) {
     double done = clock;
     mlp.compute_gradient(f.x.view(), f.y, clock, &done);
     clock = mlp.apply_gradient(0.3, done);
-    nn::compute_gradient(host_model, f.x.view(), f.y, ws, host_grad);
+    host.bind(host_model, host_grad, 32)
+        .compute_gradient(f.x.view(), f.y, 0.0, nullptr);
     nn::sgd_step(host_model, host_grad, 0.3);
   }
   nn::Model final_device = f.model;
@@ -430,6 +440,62 @@ TEST(BackendCounters, ZeroCopyLanesTickNothing) {
   EXPECT_EQ(c.kernels.value(), kernels0);
 }
 
+// hetsgd_host_gemms_total counts GEMM-family kernels that ran on the host:
+// a device-mode round trip leaves it alone; a zero-copy compute_gradient
+// ticks it once per forward GEMM, weight gradient and delta product.
+TEST(BackendCounters, HostGemmCounterTicksOnlyForZeroCopyGemms) {
+  Fixture f(16);
+  const std::uint64_t layers = f.config.layer_shapes().size();
+  obs::Counter& host_gemms =
+      obs::MetricsRegistry::instance().counter("hetsgd_host_gemms_total");
+
+  CpuBackend device(v100_spec(), CpuBackend::Mode::kDevice);
+  MlpExecutor replica(device, f.config, 16);
+  const std::uint64_t before_device = host_gemms.value();
+  double done = 0.0;
+  replica.upload_model(f.model, 0.0);
+  replica.compute_gradient(f.x.view(), f.y, 0.0, &done);
+  replica.apply_gradient(0.1, done);
+  EXPECT_EQ(host_gemms.value(), before_device);
+
+  nn::Model shared = f.model;
+  nn::Gradient grad = nn::make_zero_gradient(shared);
+  HostExecutor host;
+  MlpExecutor& lane = host.bind(shared, grad, 16);
+  const std::uint64_t before_lane = host_gemms.value();
+  lane.compute_gradient(f.x.view(), f.y, 0.0, nullptr);
+  EXPECT_EQ(host_gemms.value() - before_lane, 3 * layers - 1);
+  const std::uint64_t before_eval = host_gemms.value();
+  lane.compute_loss(f.x.view(), f.y, 0.0, nullptr);
+  EXPECT_EQ(host_gemms.value() - before_eval, layers);
+}
+
+// The evaluation entry runs the forward half of compute_gradient: the same
+// loss to the bit, the same logits in both modes, and on a device only the
+// L forward kernels plus the loss kernel.
+TEST(BackendCounters, ForwardOnlyLossSkipsTheBackwardPass) {
+  Fixture f(16);
+  const std::uint64_t layers = f.config.layer_shapes().size();
+  CpuBackend device(v100_spec(), CpuBackend::Mode::kDevice);
+  MlpExecutor replica(device, f.config, 16);
+  replica.upload_model(f.model, 0.0);
+  DeviceCounters c;
+  const std::uint64_t kernels0 = c.kernels.value();
+  const double eval_loss = replica.compute_loss(f.x.view(), f.y, 0.0, nullptr);
+  EXPECT_EQ(c.kernels.value() - kernels0, layers + 1);
+  Matrix device_logits(16, f.config.num_classes);
+  replica.download_logits(device_logits.view(), 0.0);
+  EXPECT_EQ(replica.compute_gradient(f.x.view(), f.y, 0.0, nullptr),
+            eval_loss);
+
+  HostExecutor host;
+  MlpExecutor& zero_copy = host.bind(f.model, 16);
+  EXPECT_EQ(zero_copy.compute_loss(f.x.view(), f.y, 0.0, nullptr), eval_loss);
+  Matrix host_logits(16, f.config.num_classes);
+  zero_copy.download_logits(host_logits.view(), 0.0);
+  EXPECT_EQ(max_abs_diff(device_logits.view(), host_logits.view()), 0.0);
+}
+
 // --- the kernel set, one kernel at a time, in both modes ------------------
 
 using Mode = CpuBackend::Mode;
@@ -599,6 +665,15 @@ TEST_P(CpuBackendKernels, SoftmaxXentMatchesHostLossAndChargesTheScalarReturn) {
   EXPECT_EQ(loss, ref_loss);
   EXPECT_EQ(max_abs_diff(h.b().view(db).rows_view(0, kBatch), ref_d.view()),
             0.0);
+
+  // A null dlogits handle is the forward-only loss: same value and charge.
+  tensor::Scalar loss_only = 0;
+  EXPECT_DOUBLE_EQ(
+      h.b().softmax_xent(lb, labels, Buffer{}, kBatch, &loss_only, want),
+      h.device() ? want + perf.elementwise_seconds(kBatch * 4 * 6) +
+                       perf.transfer_seconds(sizeof(tensor::Scalar))
+                 : want);
+  EXPECT_EQ(loss_only, ref_loss);
 }
 
 TEST_P(CpuBackendKernels, UploadDownloadCopyAndAccountBytes) {

@@ -5,51 +5,12 @@
 
 #include <gtest/gtest.h>
 
-#include "concurrent/blocking_queue.hpp"
 #include "concurrent/mpsc_queue.hpp"
 #include "concurrent/spsc_ring.hpp"
 #include "concurrent/thread_pool.hpp"
 
 namespace hetsgd::concurrent {
 namespace {
-
-TEST(BlockingQueue, FifoOrder) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_EQ(q.pop().value(), 3);
-}
-
-TEST(BlockingQueue, TryPopEmpty) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(BlockingQueue, CloseDrainsThenEnds) {
-  BlockingQueue<int> q;
-  q.push(1);
-  q.close();
-  EXPECT_FALSE(q.push(2));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BlockingQueue, CrossThreadDelivery) {
-  BlockingQueue<int> q;
-  std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) q.push(i);
-    q.close();
-  });
-  int expected = 0;
-  while (auto v = q.pop()) {
-    EXPECT_EQ(*v, expected++);
-  }
-  EXPECT_EQ(expected, 1000);
-  producer.join();
-}
 
 TEST(MpscQueue, SingleThreadFifo) {
   MpscQueue<int> q;

@@ -20,9 +20,9 @@
 #include <gtest/gtest.h>
 
 #include "backend/cpu_backend.hpp"
+#include "backend/host_executor.hpp"
 #include "backend/mlp_executor.hpp"
 #include "common/rng.hpp"
-#include "nn/mlp.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -447,26 +447,40 @@ INSTANTIATE_TEST_SUITE_P(BothModes, CsrExecutor,
                                                   : "zero_copy");
                          });
 
+// The host path (HostExecutor, as the lanes and every evaluation run it):
+// a CSR batch gives the dense batch's loss and gradient to rounding, and so
+// do the chunked evaluation and the argmax predictions.
 TEST(CsrHostPath, LossAndGradientMatchTheDenseBatch) {
   const nn::MlpConfig config = wide_config();
   Rng rng(21);
-  const nn::Model model(config, rng);
+  nn::Model model(config, rng);
   const Matrix x = sparse_batch(rng, 700, config.input_dim, 0.05, true);
   const CsrMatrix csr = CsrMatrix::from_dense(x.view());
   std::vector<std::int32_t> y(700);
   for (auto& label : y) label = static_cast<std::int32_t>(rng.next_below(3));
-  nn::Workspace ws;
+  backend::HostExecutor dense_host;
+  backend::HostExecutor sparse_host;
   nn::Gradient dense_grad = nn::make_zero_gradient(model);
   nn::Gradient sparse_grad = nn::make_zero_gradient(model);
-  const double dense_loss =
-      nn::compute_gradient(model, x.view(), y, ws, dense_grad);
+  const double dense_loss = dense_host.bind(model, dense_grad, 700)
+                                .compute_gradient(x.view(), y, 0.0, nullptr);
   const double sparse_loss =
-      nn::compute_gradient(model, csr.view(), y, ws, sparse_grad);
+      sparse_host.bind(model, sparse_grad, 700)
+          .compute_gradient(csr.view(), y, 0.0, nullptr);
   EXPECT_NEAR(sparse_loss, dense_loss, kTol);
   EXPECT_LT(max_gradient_diff(sparse_grad, dense_grad), kTol);
   // The chunked evaluation crosses a 512-row chunk boundary.
-  EXPECT_NEAR(nn::mean_loss(model, csr.view(), y, ws),
-              nn::mean_loss(model, x.view(), y, ws), kTol);
+  EXPECT_NEAR(sparse_host.mean_loss(model, csr.view(), y),
+              dense_host.mean_loss(model, x.view(), y), kTol);
+  const nn::ConfusionMatrix sparse_cm =
+      backend::evaluate_classifier(model, csr.view(), y, sparse_host);
+  const nn::ConfusionMatrix dense_cm =
+      backend::evaluate_classifier(model, x.view(), y, dense_host);
+  for (std::int32_t a = 0; a < 3; ++a) {
+    for (std::int32_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(sparse_cm.count(a, p), dense_cm.count(a, p));
+    }
+  }
 }
 
 }  // namespace

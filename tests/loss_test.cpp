@@ -95,44 +95,6 @@ TEST(SoftmaxXent, LabelOutOfRangeDies) {
                "label out of range");
 }
 
-TEST(SigmoidBce, KnownValues) {
-  Matrix logits{{0, 0}};
-  Matrix targets{{1, 0}};
-  Scalar loss = sigmoid_bce(logits.view(), targets.view(), nullptr);
-  EXPECT_NEAR(loss, 2 * std::log(2.0), 1e-12);  // two times -log(0.5), /B=1
-}
-
-TEST(SigmoidBce, GradientMatchesFiniteDifference) {
-  Rng rng(9);
-  Matrix logits(2, 3);
-  tensor::fill_normal(logits.view(), rng, 0, 1.5);
-  Matrix targets{{1, 0, 1}, {0, 1, 0}};
-  Matrix grad(2, 3);
-  auto gv = grad.view();
-  sigmoid_bce(logits.view(), targets.view(), &gv);
-  const double eps = 1e-6;
-  for (Index r = 0; r < 2; ++r) {
-    for (Index c = 0; c < 3; ++c) {
-      Matrix plus = logits, minus = logits;
-      plus(r, c) += eps;
-      minus(r, c) -= eps;
-      const double numeric =
-          (sigmoid_bce(plus.view(), targets.view(), nullptr) -
-           sigmoid_bce(minus.view(), targets.view(), nullptr)) /
-          (2 * eps);
-      EXPECT_NEAR(grad(r, c), numeric, 1e-8);
-    }
-  }
-}
-
-TEST(SigmoidBce, StableForLargeLogits) {
-  Matrix logits{{1000, -1000}};
-  Matrix targets{{1, 0}};
-  Scalar loss = sigmoid_bce(logits.view(), targets.view(), nullptr);
-  EXPECT_TRUE(std::isfinite(loss));
-  EXPECT_NEAR(loss, 0.0, 1e-9);
-}
-
 TEST(Accuracy, CountsArgmaxMatches) {
   Matrix logits{{2, 1, 0}, {0, 5, 1}, {1, 0, 3}, {9, 0, 0}};
   std::vector<std::int32_t> labels{0, 1, 0, 1};

@@ -1,3 +1,8 @@
+// The MLP's one execution path as host code runs it: MlpExecutor on a
+// zero-copy backend, through backend::HostExecutor. Gradients are checked
+// against finite differences, and the fused forward against an unfused
+// three-pass reference — the true references, not another copy of the
+// kernel sequence.
 #include "nn/mlp.hpp"
 
 #include <cmath>
@@ -6,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "nn/loss.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 
 namespace hetsgd::nn {
 namespace {
 
+using backend::HostExecutor;
 using tensor::Index;
 using tensor::Matrix;
 using tensor::Scalar;
@@ -44,67 +51,76 @@ Problem make_problem(const MlpConfig& c, Index batch, std::uint64_t seed) {
   return p;
 }
 
-TEST(WorkspaceScratch, GrowsMonotonicallyUntilClampedOrReleased) {
+// Forward + backward of `model` over (x, y) into `grad`, as a Hogwild lane
+// runs it.
+Scalar gradient(HostExecutor& host, Model& model, const tensor::InputView& x,
+                std::span<const std::int32_t> y, Gradient& grad) {
+  return host.bind(model, grad, x.rows()).compute_gradient(x, y, 0.0,
+                                                           nullptr);
+}
+
+TEST(HostExecutorScratch, GrowsOnDemandUntilReleased) {
   MlpConfig c = tiny_config();
   Problem big = make_problem(c, 64, 1);
   Problem small = make_problem(c, 8, 2);
-  Workspace ws;
+  HostExecutor host;
 
-  forward(big.model, big.x.view(), ws);
-  const std::uint64_t high_water = ws.scratch_bytes();
-  EXPECT_EQ(ws.capacity_rows(), 64);
-  EXPECT_GT(high_water, 0u);
+  compute_loss(big.model, big.x.view(), big.y, host);
+  EXPECT_EQ(host.capacity_rows(), 64);
 
   // A smaller batch reuses the tall buffers: no shrink on its own.
-  forward(small.model, small.x.view(), ws);
-  EXPECT_EQ(ws.capacity_rows(), 64);
-  EXPECT_EQ(ws.scratch_bytes(), high_water);
+  compute_loss(big.model, small.x.view(), small.y, host);
+  EXPECT_EQ(host.capacity_rows(), 64);
 
-  // clamp() cuts the tall buffers down; shorter ones are left alone.
-  ws.clamp(16);
-  EXPECT_EQ(ws.capacity_rows(), 16);
-  EXPECT_LT(ws.scratch_bytes(), high_water);
-  ws.clamp(32);  // clamping above the current height is a no-op
-  EXPECT_EQ(ws.capacity_rows(), 16);
+  // release() frees everything; the executor stays usable and the math
+  // after a regrow matches a fresh one exactly.
+  host.release();
+  EXPECT_EQ(host.capacity_rows(), 0);
 
-  // release() frees everything; the workspace stays usable and the math
-  // after a regrow matches a fresh workspace exactly.
-  ws.release();
-  EXPECT_EQ(ws.capacity_rows(), 0);
-  EXPECT_EQ(ws.scratch_bytes(), 0u);
-
-  Workspace fresh;
+  HostExecutor fresh;
   Gradient grad_reused = make_zero_gradient(big.model);
   Gradient grad_fresh = make_zero_gradient(big.model);
-  const Scalar loss_reused = compute_gradient(
-      big.model, big.x.view(), big.y, ws, grad_reused);
-  const Scalar loss_fresh = compute_gradient(
-      big.model, big.x.view(), big.y, fresh, grad_fresh);
+  const Scalar loss_reused =
+      gradient(host, big.model, big.x.view(), big.y, grad_reused);
+  const Scalar loss_fresh =
+      gradient(fresh, big.model, big.x.view(), big.y, grad_fresh);
   EXPECT_EQ(loss_reused, loss_fresh);
   EXPECT_EQ(grad_reused.max_abs_diff(grad_fresh), 0.0);
 }
 
-TEST(Forward, OutputShape) {
+// Binding is per model object: a same-shape copy-assignment keeps the
+// model's storage, so an executor bound before the copy computes with the
+// copied weights; a different model object rebinds.
+TEST(HostExecutorScratch, BindingFollowsTheModelsStorage) {
   MlpConfig c = tiny_config();
-  Problem p = make_problem(c, 7, 1);
-  Workspace ws;
-  forward(p.model, p.x.view(), ws);
-  EXPECT_EQ(ws.logits().rows(), 7);
-  EXPECT_EQ(ws.logits().cols(), 3);
+  Problem a = make_problem(c, 8, 3);
+  Problem b = make_problem(c, 8, 4);
+  HostExecutor fresh;
+  const Scalar loss_a = compute_loss(a.model, a.x.view(), a.y, fresh);
+  const Scalar loss_b = compute_loss(b.model, a.x.view(), a.y, fresh);
+  ASSERT_NE(loss_a, loss_b);
+
+  Model snapshot = a.model;
+  HostExecutor host;
+  backend::MlpExecutor& bound = host.bind(snapshot, 8);
+  EXPECT_EQ(bound.compute_loss(a.x.view(), a.y, 0.0, nullptr), loss_a);
+  snapshot = b.model;  // copy-assign in place
+  EXPECT_EQ(bound.compute_loss(a.x.view(), a.y, 0.0, nullptr), loss_b);
+
+  EXPECT_EQ(compute_loss(a.model, a.x.view(), a.y, host), loss_a);
+  EXPECT_EQ(compute_loss(snapshot, a.x.view(), a.y, host), loss_b);
 }
 
-TEST(Forward, HiddenActivationsInSigmoidRange) {
-  MlpConfig c = tiny_config(Activation::kSigmoid);
-  Problem p = make_problem(c, 5, 2);
-  Workspace ws;
-  forward(p.model, p.x.view(), ws);
-  const auto& hidden = ws.acts()[0];
-  for (Index r = 0; r < 5; ++r) {
-    for (Index col = 0; col < c.hidden_units; ++col) {
-      EXPECT_GT(hidden(r, col), 0.0);
-      EXPECT_LT(hidden(r, col), 1.0);
-    }
-  }
+TEST(Forward, LogitsReadBackForTheBatchRows) {
+  MlpConfig c = tiny_config();
+  Problem p = make_problem(c, 7, 1);
+  HostExecutor host;
+  backend::MlpExecutor& exec = host.bind(p.model, 16);
+  exec.compute_loss(p.x.view(), p.y, 0.0, nullptr);
+  Matrix logits(7, 3);
+  exec.download_logits(logits.view(), 0.0);
+  Matrix wide(7, 4);
+  EXPECT_DEATH(exec.download_logits(wide.view(), 0.0), "shape mismatch");
 }
 
 TEST(Forward, MatchesManualSingleLayer) {
@@ -117,10 +133,14 @@ TEST(Forward, MatchesManualSingleLayer) {
   m.layer(0).weights = Matrix{{1, 2}, {3, 4}};
   m.layer(0).bias = Matrix{{0.5, -0.5}};
   Matrix x{{1, 1}};
-  Workspace ws;
-  forward(m, x.view(), ws);
-  EXPECT_DOUBLE_EQ(ws.logits()(0, 0), 3.5);   // 1+2+0.5
-  EXPECT_DOUBLE_EQ(ws.logits()(0, 1), 6.5);   // 3+4-0.5
+  const std::int32_t y[] = {0};
+  HostExecutor host;
+  backend::MlpExecutor& exec = host.bind(m, 1);
+  exec.compute_loss(x.view(), y, 0.0, nullptr);
+  Matrix logits(1, 2);
+  exec.download_logits(logits.view(), 0.0);
+  EXPECT_DOUBLE_EQ(logits(0, 0), 3.5);  // 1+2+0.5
+  EXPECT_DOUBLE_EQ(logits(0, 1), 6.5);  // 3+4-0.5
 }
 
 class GradientCheck : public ::testing::TestWithParam<Activation> {};
@@ -128,12 +148,12 @@ class GradientCheck : public ::testing::TestWithParam<Activation> {};
 TEST_P(GradientCheck, MatchesFiniteDifferences) {
   MlpConfig c = tiny_config(GetParam());
   Problem p = make_problem(c, 4, 5);
-  Workspace ws;
+  HostExecutor host;
   Gradient grad = make_zero_gradient(p.model);
-  compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+  gradient(host, p.model, p.x.view(), p.y, grad);
 
   const double eps = 1e-6;
-  Workspace ws2;
+  HostExecutor host2;
   // Check a spread of parameters in every layer (weights + biases).
   for (std::size_t l = 0; l < p.model.layer_count(); ++l) {
     auto& w = p.model.layer(l).weights;
@@ -141,11 +161,9 @@ TEST_P(GradientCheck, MatchesFiniteDifferences) {
          idx += std::max<Index>(1, w.size() / 7)) {
       const Scalar saved = w.data()[idx];
       w.data()[idx] = saved + eps;
-      const double up =
-          compute_loss(p.model, p.x.view(), p.y, ws2);
+      const double up = compute_loss(p.model, p.x.view(), p.y, host2);
       w.data()[idx] = saved - eps;
-      const double down =
-          compute_loss(p.model, p.x.view(), p.y, ws2);
+      const double down = compute_loss(p.model, p.x.view(), p.y, host2);
       w.data()[idx] = saved;
       const double numeric = (up - down) / (2 * eps);
       EXPECT_NEAR(grad.layer(l).weights.data()[idx], numeric, 1e-7)
@@ -155,9 +173,9 @@ TEST_P(GradientCheck, MatchesFiniteDifferences) {
     for (Index idx = 0; idx < b.size(); ++idx) {
       const Scalar saved = b.data()[idx];
       b.data()[idx] = saved + eps;
-      const double up = compute_loss(p.model, p.x.view(), p.y, ws2);
+      const double up = compute_loss(p.model, p.x.view(), p.y, host2);
       b.data()[idx] = saved - eps;
-      const double down = compute_loss(p.model, p.x.view(), p.y, ws2);
+      const double down = compute_loss(p.model, p.x.view(), p.y, host2);
       b.data()[idx] = saved;
       EXPECT_NEAR(grad.layer(l).bias.data()[idx], (up - down) / (2 * eps),
                   1e-7)
@@ -172,50 +190,16 @@ INSTANTIATE_TEST_SUITE_P(Activations, GradientCheck,
                                            Activation::kRelu,
                                            Activation::kIdentity));
 
-TEST(GradientBce, MatchesFiniteDifferences) {
-  MlpConfig c = tiny_config();
-  Rng rng(11);
-  Model m(c, rng);
-  Matrix x(3, c.input_dim);
-  tensor::fill_normal(x.view(), rng, 0, 1);
-  Matrix targets(3, c.num_classes);
-  for (Index i = 0; i < targets.size(); ++i) {
-    targets.data()[i] = rng.bernoulli(0.4) ? 1.0 : 0.0;
-  }
-  Workspace ws;
-  Gradient grad = make_zero_gradient(m);
-  compute_gradient_bce(m, x.view(), targets.view(), ws, grad);
-
-  const double eps = 1e-6;
-  Workspace ws2;
-  auto loss_fn = [&] {
-    forward(m, x.view(), ws2);
-    auto logits = ws2.logits().rows_view(0, 3);
-    return sigmoid_bce(logits, targets.view(), nullptr);
-  };
-  auto& w = m.layer(1).weights;
-  for (Index idx = 0; idx < w.size(); idx += 3) {
-    const Scalar saved = w.data()[idx];
-    w.data()[idx] = saved + eps;
-    const double up = loss_fn();
-    w.data()[idx] = saved - eps;
-    const double down = loss_fn();
-    w.data()[idx] = saved;
-    EXPECT_NEAR(grad.layer(1).weights.data()[idx], (up - down) / (2 * eps),
-                1e-7);
-  }
-}
-
 TEST(SgdStep, GradientDescentReducesLoss) {
   MlpConfig c = tiny_config();
   Problem p = make_problem(c, 32, 13);
-  Workspace ws;
+  HostExecutor host;
   Gradient grad = make_zero_gradient(p.model);
-  const double initial = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+  const double initial = gradient(host, p.model, p.x.view(), p.y, grad);
   double prev = initial;
   for (int step = 0; step < 1500; ++step) {
     sgd_step(p.model, grad, 0.5);
-    prev = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+    prev = gradient(host, p.model, p.x.view(), p.y, grad);
   }
   // Full-batch gradient descent must make substantial progress on a
   // 32-example problem (sigmoid hidden layers learn slowly, hence the
@@ -223,36 +207,37 @@ TEST(SgdStep, GradientDescentReducesLoss) {
   EXPECT_LT(prev, 0.5 * initial);
 }
 
-TEST(Workspace, ReusableAcrossBatchSizes) {
+TEST(HostExecutorScratch, ReusableAcrossBatchSizes) {
   MlpConfig c = tiny_config();
   Problem big = make_problem(c, 16, 17);
   Problem small = make_problem(c, 4, 17);
-  Workspace ws;
+  HostExecutor host;
   Gradient g1 = make_zero_gradient(big.model);
   Gradient g2 = make_zero_gradient(big.model);
 
   // Large batch first, then small: buffers must not leak stale rows.
-  compute_gradient(big.model, big.x.view(), big.y, ws, g1);
-  compute_gradient(big.model, small.x.view(), small.y, ws, g2);
+  gradient(host, big.model, big.x.view(), big.y, g1);
+  gradient(host, big.model, small.x.view(), small.y, g2);
 
-  Workspace fresh;
+  HostExecutor fresh;
   Gradient g3 = make_zero_gradient(big.model);
-  compute_gradient(big.model, small.x.view(), small.y, fresh, g3);
+  gradient(fresh, big.model, small.x.view(), small.y, g3);
   EXPECT_EQ(g2.max_abs_diff(g3), 0.0);
 }
 
 TEST(Mlp, BatchGradientIsMeanOfExampleGradients) {
   MlpConfig c = tiny_config();
   Problem p = make_problem(c, 8, 19);
-  Workspace ws;
+  HostExecutor host;
   Gradient batch_grad = make_zero_gradient(p.model);
-  compute_gradient(p.model, p.x.view(), p.y, ws, batch_grad);
+  gradient(host, p.model, p.x.view(), p.y, batch_grad);
 
   Gradient sum = make_zero_gradient(p.model);
   Gradient one = make_zero_gradient(p.model);
+  HostExecutor per_example;
   for (Index i = 0; i < 8; ++i) {
     std::span<const std::int32_t> yi(p.y.data() + i, 1);
-    compute_gradient(p.model, p.x.rows_view(i, 1), yi, ws, one);
+    gradient(per_example, p.model, p.x.rows_view(i, 1), yi, one);
     sum.axpy(1.0 / 8.0, one);
   }
   EXPECT_LT(batch_grad.max_abs_diff(sum), 1e-10);
@@ -272,13 +257,13 @@ TEST(Mlp, InputWidthMismatchDies) {
   MlpConfig c = tiny_config();
   Problem p = make_problem(c, 2, 23);
   Matrix bad(2, c.input_dim + 1);
-  Workspace ws;
-  EXPECT_DEATH(forward(p.model, bad.view(), ws), "input_dim");
+  HostExecutor host;
+  EXPECT_DEATH(compute_loss(p.model, bad.view(), p.y, host), "width");
 }
 
 // Unfused reference forward: the three-pass gemm -> add_row_bias ->
-// activation_forward sequence that forward() replaced with the fused
-// gemm_bias_act write-back.
+// activation_forward sequence that the executor's fused gemm_bias_act
+// write-back replaced.
 Scalar unfused_forward_loss(const Model& model, tensor::ConstMatrixView x,
                             std::span<const std::int32_t> labels) {
   std::vector<Matrix> acts(model.layer_count());
@@ -306,10 +291,10 @@ TEST(Mlp, FusedForwardMatchesUnfusedTrajectory) {
                          Activation::kRelu, Activation::kIdentity}) {
     MlpConfig c = tiny_config(act);
     Problem p = make_problem(c, 16, 99);
-    Workspace ws;
+    HostExecutor host;
     Gradient grad = make_zero_gradient(p.model);
     for (int step = 0; step < 8; ++step) {
-      const Scalar fused = compute_gradient(p.model, p.x.view(), p.y, ws, grad);
+      const Scalar fused = gradient(host, p.model, p.x.view(), p.y, grad);
       const Scalar unfused = unfused_forward_loss(p.model, p.x.view(), p.y);
       EXPECT_NEAR(fused, unfused, 1e-10)
           << "activation=" << activation_name(act) << " step=" << step;

@@ -197,17 +197,20 @@ TEST(Optimizer, AdamTrainsTinyProblemFasterThanSgdPerStep) {
   for (auto& label : y) {
     label = static_cast<std::int32_t>(rng.next_below(2));
   }
-  Workspace ws;
   Gradient g = make_zero_gradient(sgd_model);
+  backend::HostExecutor at_sgd;
+  backend::HostExecutor at_adam;
   Optimizer sgd(OptimizerConfig{}, sgd_model);
   OptimizerConfig acfg;
   acfg.kind = OptimizerKind::kAdam;
   Optimizer adam(acfg, adam_model);
   double sgd_loss = 0, adam_loss = 0;
   for (int i = 0; i < 100; ++i) {
-    sgd_loss = compute_gradient(sgd_model, x.view(), y, ws, g);
+    sgd_loss = at_sgd.bind(sgd_model, g, 16).compute_gradient(x.view(), y,
+                                                               0.0, nullptr);
     sgd.step(sgd_model, g, 0.01);
-    adam_loss = compute_gradient(adam_model, x.view(), y, ws, g);
+    adam_loss = at_adam.bind(adam_model, g, 16)
+                    .compute_gradient(x.view(), y, 0.0, nullptr);
     adam.step(adam_model, g, 0.01);
   }
   EXPECT_LT(adam_loss, sgd_loss);

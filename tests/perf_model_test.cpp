@@ -1,10 +1,10 @@
-#include "gpusim/perf_model.hpp"  // hetsgd-lint: allow(gpusim-include) gpusim subsystem unit test
+#include "backend/perf_model.hpp"
 
 #include <gtest/gtest.h>
 
-#include "gpusim/virtual_clock.hpp"  // hetsgd-lint: allow(gpusim-include) gpusim subsystem unit test
+#include "backend/virtual_clock.hpp"
 
-namespace hetsgd::gpusim {
+namespace hetsgd::backend {
 namespace {
 
 TEST(VirtualClock, AdvanceAccumulates) {
@@ -110,4 +110,4 @@ TEST(Specs, XeonScalesWithThreads) {
 }
 
 }  // namespace
-}  // namespace hetsgd::gpusim
+}  // namespace hetsgd::backend

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "backend/host_executor.hpp"
 #include "data/split.hpp"
 #include "data/synthetic.hpp"
 #include "nn/metrics.hpp"
+#include "nn/mlp.hpp"
 
 namespace hetsgd {
 namespace {
@@ -121,22 +123,33 @@ TEST(EvaluateClassifier, TrainedModelBeatsChance) {
   config.hidden_units = 16;
   config.hidden_activation = nn::Activation::kTanh;
   nn::Model model(config, rng);
-  nn::Workspace ws;
   nn::Gradient grad = nn::make_zero_gradient(model);
+  backend::HostExecutor host;
 
+  const tensor::Index n = split.train.example_count();
   for (int step = 0; step < 300; ++step) {
-    nn::compute_gradient(model, split.train.batch_features(
-                                    0, split.train.example_count()),
-                         split.train.labels(), ws, grad);
+    host.bind(model, grad, n).compute_gradient(
+        split.train.batch_features(0, n), split.train.labels(), 0.0, nullptr);
     nn::sgd_step(model, grad, 0.5);
   }
 
-  nn::ConfusionMatrix cm = nn::evaluate_classifier(
-      model, split.test.features().view(), split.test.labels(), ws);
+  nn::ConfusionMatrix cm = backend::evaluate_classifier(
+      model, split.test.features().view(), split.test.labels(), host);
   EXPECT_EQ(cm.total(), static_cast<std::uint64_t>(
                             split.test.example_count()));
   EXPECT_GT(cm.accuracy(), 0.6);  // chance = 0.33
   EXPECT_GT(cm.macro_f1(), 0.5);
+  // Pinned at full precision before evaluation moved onto MlpExecutor:
+  // the trained model's predictions may not change by a single example.
+  const std::uint64_t pinned[3][3] = {{84, 2, 2},
+                                      {1, 86, 1},
+                                      {0, 1, 94}};
+  for (std::int32_t actual = 0; actual < 3; ++actual) {
+    for (std::int32_t predicted = 0; predicted < 3; ++predicted) {
+      EXPECT_EQ(cm.count(actual, predicted), pinned[actual][predicted])
+          << actual << "->" << predicted;
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "core/svrg.hpp"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.hpp"
@@ -90,6 +93,48 @@ TEST(Svrg, InnerStepsOptionControlsRound) {
   // With only 4 inner steps per round, snapshots dominate the work.
   EXPECT_GE(r.snapshots, r.inner_updates / 4);
 }
+
+// Pinned trajectories on a dense (covtype) and a CSR (w8a) stand-in,
+// recorded at full precision before SVRG's gradients and evaluation moved
+// onto MlpExecutor. SVRG is serial and deterministic, so every evaluated
+// loss must match exactly.
+struct PinnedSvrg {
+  data::PaperDataset dataset;
+  std::vector<double> losses;
+};
+
+class SvrgPinnedCurve : public ::testing::TestWithParam<PinnedSvrg> {};
+
+TEST_P(SvrgPinnedCurve, LossesMatchTheRecordedTrajectoryExactly) {
+  const PinnedSvrg& pin = GetParam();
+  data::Dataset d = pin.dataset == data::PaperDataset::kCovtype
+                        ? data::make_paper_dataset(pin.dataset, 0.002, 3)
+                        : data::make_paper_dataset(pin.dataset, 0.02, 3);
+  ASSERT_EQ(d.sparse(), pin.dataset == data::PaperDataset::kW8a);
+  TrainingConfig config = svrg_config();
+  config.max_epochs = 9;
+  config.learning_rate = 1e-2;
+  SvrgOptions options;
+  options.batch = 32;
+  const SvrgResult r = run_svrg(d, config, options);
+  ASSERT_EQ(r.curve.size(), pin.losses.size());
+  for (std::size_t i = 0; i < pin.losses.size(); ++i) {
+    EXPECT_EQ(r.curve[i].loss, pin.losses[i]) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parent, SvrgPinnedCurve,
+    ::testing::Values(
+        PinnedSvrg{data::PaperDataset::kCovtype,
+                   {0.7781464350223285, 0.36374975626041567,
+                    0.30796055600613315, 0.27114507595143572}},
+        PinnedSvrg{data::PaperDataset::kW8a,
+                   {0.79212226325441693, 0.48029394455024488,
+                    0.36010393959033182, 0.29265469844275693}}),
+    [](const ::testing::TestParamInfo<PinnedSvrg>& p) {
+      return std::string(data::paper_dataset_name(p.param.dataset));
+    });
 
 }  // namespace
 }  // namespace hetsgd::core

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +184,75 @@ TEST(Trainer, ReferenceIsDeterministic) {
     EXPECT_DOUBLE_EQ(a.loss_curve[i].vtime, b.loss_curve[i].vtime);
   }
 }
+
+// Pinned trajectories: the TF reference and max_epochs-bounded gpu-only and
+// cpu-only runs on a dense (covtype) and a CSR (w8a) stand-in, recorded at
+// full precision before evaluation and training moved onto MlpExecutor.
+// Every run is deterministic (one device worker, or one CPU worker on one
+// lane), so every evaluated loss must match exactly. The lane batch is 12
+// rows so that every batch, epoch tails included (1162 and 994 examples),
+// has at least 8: below that the GEMM takes its row-dot path, whose
+// `omp simd` reduction order depends on the build's instrumentation, and
+// the sanitizer builds would read other last bits.
+struct PinnedRun {
+  data::PaperDataset dataset;
+  Algorithm algorithm;
+  std::vector<double> losses;
+};
+
+class PinnedCurve : public ::testing::TestWithParam<PinnedRun> {};
+
+TEST_P(PinnedCurve, LossesMatchTheRecordedTrajectoryExactly) {
+  const PinnedRun& pin = GetParam();
+  const data::Dataset d = pin.dataset == data::PaperDataset::kCovtype
+                              ? data::make_paper_dataset(pin.dataset, 0.002, 3)
+                              : data::make_paper_dataset(pin.dataset, 0.02, 3);
+  ASSERT_EQ(d.sparse(), pin.dataset == data::PaperDataset::kW8a);
+  TrainingConfig config = small_config(pin.algorithm);
+  config.time_budget_vseconds = 1e9;
+  config.max_epochs = 3;
+  config.eval_interval_vseconds = 0.0;
+  config.learning_rate = 1e-2;
+  config.cpu.sim_lanes = 1;
+  config.cpu.examples_per_thread = 12;
+  config.real_threads = 1;
+  Trainer trainer(d, config);
+  const TrainingResult r = trainer.run();
+  ASSERT_EQ(r.loss_curve.size(), pin.losses.size());
+  for (std::size_t i = 0; i < pin.losses.size(); ++i) {
+    EXPECT_EQ(r.loss_curve[i].loss, pin.losses[i]) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parent, PinnedCurve,
+    ::testing::Values(
+        PinnedRun{data::PaperDataset::kCovtype, Algorithm::kTensorFlow,
+                  {0.74573518805412575, 0.47094920657802619,
+                   0.3683876317462651, 0.36016995596869628}},
+        PinnedRun{data::PaperDataset::kCovtype, Algorithm::kMinibatchGpu,
+                  {0.74573518805412531, 0.44089327730927358,
+                   0.3717377277277864, 0.35501100335197566}},
+        PinnedRun{data::PaperDataset::kCovtype, Algorithm::kHogwildCpu,
+                  {0.74573518805412531, 0.39729280460256089,
+                   0.35902063141505147, 0.34625901054525571}},
+        PinnedRun{data::PaperDataset::kW8a, Algorithm::kTensorFlow,
+                  {0.71666113787240815, 1.4478178276746294,
+                   1.2708738737410183, 0.81823095058244155}},
+        PinnedRun{data::PaperDataset::kW8a, Algorithm::kMinibatchGpu,
+                  {0.71666113787240859, 1.447817827674629,
+                   1.1914010917953535, 0.88408936947305927}},
+        PinnedRun{data::PaperDataset::kW8a, Algorithm::kHogwildCpu,
+                  {0.71666113787240859, 0.61383670450761563,
+                   0.53971849647596504, 0.4940927336813174}}),
+    [](const ::testing::TestParamInfo<PinnedRun>& p) {
+      const char* run = p.param.algorithm == Algorithm::kTensorFlow ? "tf"
+                        : p.param.algorithm == Algorithm::kHogwildCpu
+                            ? "cpu_only"
+                            : "gpu_only";
+      return std::string(data::paper_dataset_name(p.param.dataset)) + "_" +
+             run;
+    });
 
 TEST(Trainer, TensorFlowMirrorsGpuMinibatchStatistically) {
   // Fig. 6: "The overlapped curves confirm that our implementation and

@@ -47,11 +47,13 @@ atomic call expressions. It parses the tree into a small syntactic index
                         source of truth, cross-checked by hetsgd-lint's
                         tsan-supp-stale rule), not behind relaxed atomics.
 
-  wall-clock-core       AST-level upgrade of hetsgd-lint's regex
-                        wall-clock rule: catches aliased clock reads
-                        (`using clk = std::chrono::steady_clock; clk::now()`)
-                        and sleep calls in src/core/, which is
-                        virtual-time-charged code.
+  wall-clock-core       Wall-clock constructs in src/core/, which is
+                        virtual-time-charged code: `*_clock::now`, aliased
+                        clock reads (`using clk = std::chrono::steady_clock;
+                        clk::now()`), `time(`, and sleep calls. The one
+                        wall-clock rule of the tree; sanctioned real-time
+                        sites (injected stalls, the elastic controller)
+                        carry waivers.
 
 Frontends: with the libclang Python bindings installed (CI), translation
 units are parsed with clang over compile_commands.json and record layouts

@@ -3,11 +3,8 @@
 // Every line tagged `// EXPECT: <rule>` must be reported by the linter;
 // anything else in this file must NOT be. This file is never compiled —
 // it exists only to pin the linter's behavior.
-#include <chrono>
 #include <fstream>
-#include <thread>
 #include "common/timer.hpp"  // EXPECT: adhoc-timer
-#include "gpusim/device.hpp"  // EXPECT: gpusim-include
 
 namespace fixture {
 
@@ -25,9 +22,6 @@ struct Queue {
 void planted_violations(Queue& q, Queue* qp) {
   q.push(1);  // EXPECT: unchecked-push
   qp->send(2);  // EXPECT: unchecked-push
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // EXPECT: wall-clock
-  auto t0 = std::chrono::steady_clock::now();  // EXPECT: wall-clock
-  (void)t0;
   int* leak = new int(7);  // EXPECT: naked-new
   delete leak;  // EXPECT: naked-new
   std::printf("hello\n");  // EXPECT: stdout-logging
@@ -44,8 +38,6 @@ void checked_and_waived(Queue& q) {
   (void)ok;
   // hetsgd-lint: allow(unchecked-push) fixture: fire-and-forget wakeup
   q.push(3);
-  // hetsgd-lint: allow(wall-clock) fixture: deterministic injected stall
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // A comment that merely *mentions* steady_clock::now or new Thing or
   // printf( must not be flagged; nor must "printf(" in a string literal:
   const char* s = "printf(%d) sleep_for new delete std::ofstream WallTimer";

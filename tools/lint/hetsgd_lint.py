@@ -9,13 +9,6 @@ Rules (each a short, greppable id):
                     and breaks the ledger invariant
                     dispatched == reported + reclaimed.
 
-  wall-clock        Wall-clock constructs (`steady_clock::now`,
-                    `system_clock::now`, `time(`, `sleep_for`,
-                    `sleep_until`) inside src/core/. Core scheduling runs
-                    on virtual time; real time is allowed only in the
-                    designated shims (actor idle ticks, injected stalls)
-                    which carry waivers.
-
   naked-new         `new` / `delete` expressions outside the lock-free
                     queue node internals. Everything else owns memory via
                     containers / unique_ptr.
@@ -30,22 +23,15 @@ Rules (each a short, greppable id):
                     never leave a torn file; src/common/atomic_file.cpp is
                     the one sanctioned raw-write site.
 
-  adhoc-timer       Ad-hoc timing in src/core/ or src/gpusim/: the retired
-                    `WallTimer` class, an include of common/timer.hpp, or
-                    (in gpusim, which the wall-clock rule does not cover) a
-                    raw clock read. Instrumentation goes through src/obs/
-                    — HETSGD_TRACE_* spans, obs::WallStopwatch, or the
-                    metrics registry — so every measurement lands in the
-                    exported trace/metrics streams instead of a private
-                    timer.
-
-  gpusim-include    A direct `#include "gpusim/..."` outside src/backend/
-                    and src/gpusim/ (scanned across src/, tests/, bench/
-                    and examples/). The simulated device is an
-                    implementation detail behind the backend seam; code
-                    reaches it through backend/backend.hpp or
-                    backend/device_model.hpp. gpusim's own unit tests
-                    carry waivers.
+  adhoc-timer       Ad-hoc timing in src/core/ or src/backend/: the
+                    retired `WallTimer` class, an include of
+                    common/timer.hpp, or (in src/backend/, home of the
+                    perf model) a raw clock read. Instrumentation goes
+                    through src/obs/ — HETSGD_TRACE_* spans,
+                    obs::WallStopwatch, or the metrics registry — so every
+                    measurement lands in the exported trace/metrics
+                    streams instead of a private timer. Raw clock reads in
+                    src/core/ are hetsgd-analyze's wall-clock-core rule.
 
   tsan-supp-stale   A `race:<symbol>` entry in scripts/tsan.supp whose
                     symbol no longer exists in src/, or whose defining file
@@ -109,8 +95,6 @@ CKPT_OFSTREAM_RE = re.compile(r"\bstd::ofstream\b|(?:^|[^\w:.])ofstream\b")
 ADHOC_TIMER_RE = re.compile(r"\bWallTimer\b")
 
 TIMER_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]common/timer\.hpp[>"]')
-
-GPUSIM_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"gpusim/')
 
 SUPP_RE = re.compile(r"^\s*race:(\S+)")
 
@@ -194,11 +178,11 @@ def in_core(root: str, path: str) -> bool:
 
 def in_timer_scope(root: str, path: str) -> bool:
     """Where the obs layer is mandatory for timing: core scheduling and the
-    gpusim device model. src/obs/ itself (outside this scope) is the
-    sanctioned raw-clock site."""
+    backend with its device model. src/obs/ itself (outside this scope) is
+    the sanctioned raw-clock site."""
     rel = os.path.relpath(path, root)
     return (rel.startswith(os.path.join("src", "core") + os.sep)
-            or rel.startswith(os.path.join("src", "gpusim") + os.sep))
+            or rel.startswith(os.path.join("src", "backend") + os.sep))
 
 
 def in_ckpt_scope(root: str, path: str) -> bool:
@@ -208,15 +192,6 @@ def in_ckpt_scope(root: str, path: str) -> bool:
     rel = os.path.relpath(path, root)
     return (rel.startswith(os.path.join("src", "core") + os.sep)
             or rel.startswith(os.path.join("src", "nn") + os.sep))
-
-
-def in_gpusim_seam(root: str, path: str) -> bool:
-    """The only directories allowed to include gpusim headers directly: the
-    backend seam (device_model.hpp re-exports the device model) and gpusim
-    itself."""
-    rel = os.path.relpath(path, root)
-    return (rel.startswith(os.path.join("src", "backend") + os.sep)
-            or rel.startswith(os.path.join("src", "gpusim") + os.sep))
 
 
 def allow_naked_new(root: str, path: str) -> bool:
@@ -249,26 +224,17 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
             report("unchecked-push",
                    "push()/send() result discarded — both return false on a "
                    "closed target; check it or cast to (void) with a waiver")
-        if core and WALL_CLOCK_RE.search(code):
-            report("wall-clock",
-                   "wall-clock construct in src/core/ — scheduling is "
-                   "virtual-time only; real time needs a waiver naming why")
         if in_timer_scope(root, path):
             if ADHOC_TIMER_RE.search(code) or TIMER_INCLUDE_RE.search(raw):
                 report("adhoc-timer",
-                       "ad-hoc timer in core/gpusim — instrument with the "
+                       "ad-hoc timer in core/backend — instrument with the "
                        "obs layer (HETSGD_TRACE_* spans, obs::WallStopwatch, "
                        "metrics registry) so the measurement is exported")
             elif not core and WALL_CLOCK_RE.search(code):
                 report("adhoc-timer",
-                       "raw clock read in src/gpusim/ — the device model is "
+                       "raw clock read in src/backend/ — the device model is "
                        "virtual-time only; wall-time instrumentation goes "
                        "through the obs layer")
-        if GPUSIM_INCLUDE_RE.search(raw) and not in_gpusim_seam(root, path):
-            report("gpusim-include",
-                   "direct gpusim include outside src/backend/ and "
-                   "src/gpusim/ — go through the backend seam "
-                   "(backend/backend.hpp, backend/device_model.hpp)")
         if in_ckpt_scope(root, path) and CKPT_OFSTREAM_RE.search(code):
             report("ckpt-ofstream",
                    "raw std::ofstream in checkpoint scope — durable state "
@@ -284,38 +250,6 @@ def lint_file(root: str, path: str, findings: list[Finding]) -> None:
             report("stdout-logging",
                    "stdout write in src/ — diagnostics go through "
                    "HETSGD_LOG_* (stderr)")
-
-
-def lint_gpusim_includes_outside_src(root: str,
-                                     findings: list[Finding]) -> None:
-    """Applies only the gpusim-include rule to tests/, bench/ and examples/
-    (the full rule set is src/-scoped by design, but the backend seam must
-    hold tree-wide or the equivalence suite quietly re-couples to gpusim)."""
-    for top in ("tests", "bench", "examples"):
-        base = os.path.join(root, top)
-        if not os.path.isdir(base):
-            continue
-        for dirpath, dirnames, filenames in os.walk(base):
-            dirnames[:] = sorted(d for d in dirnames if not d.startswith("."))
-            for name in sorted(filenames):
-                if not name.endswith(CXX_EXTENSIONS):
-                    continue
-                path = os.path.realpath(os.path.join(dirpath, name))
-                try:
-                    with open(path, encoding="utf-8", errors="replace") as f:
-                        lines = f.read().splitlines()
-                except OSError:
-                    continue
-                for i, raw in enumerate(lines):
-                    if not GPUSIM_INCLUDE_RE.search(raw):
-                        continue
-                    if "gpusim-include" in waiver_rules(lines, i):
-                        continue
-                    findings.append(Finding(
-                        "gpusim-include", path, i + 1,
-                        "direct gpusim include outside src/backend/ and "
-                        "src/gpusim/ — go through the backend seam "
-                        "(backend/backend.hpp, backend/device_model.hpp)"))
 
 
 def lint_tsan_supp(root: str, findings: list[Finding]) -> None:
@@ -394,7 +328,6 @@ def run_lint(root: str, compile_commands: str | None) -> int:
     findings: list[Finding] = []
     for path in iter_source_files(root, compile_commands):
         lint_file(root, path, findings)
-    lint_gpusim_includes_outside_src(root, findings)
     lint_tsan_supp(root, findings)
     lint_test_registration(root, findings)
     for f in findings:
@@ -410,23 +343,26 @@ def self_test(root: str) -> int:
     """Lints the seeded-violation fixtures (must find every planted issue)
     and the clean fixture (must find none)."""
     fixtures = os.path.join(root, "tools", "lint", "fixtures")
-    bad = os.path.join(fixtures, "src", "core", "violations.cpp")
+    bad_files = [os.path.join(fixtures, "src", "core", "violations.cpp"),
+                 os.path.join(fixtures, "src", "backend", "perf_model.cpp")]
     clean = os.path.join(fixtures, "src", "core", "clean.cpp")
     supp_root = fixtures
     failures: list[str] = []
 
     findings: list[Finding] = []
-    lint_file(supp_root, bad, findings)
+    for bad in bad_files:
+        lint_file(supp_root, bad, findings)
     lint_tsan_supp(supp_root, findings)
     lint_test_registration(supp_root, findings)
     got = {(f.rule, os.path.basename(f.path), f.line) for f in findings}
 
     expected = set()
-    with open(bad, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            m = re.search(r"//\s*EXPECT:\s*([a-z0-9-]+)", line)
-            if m:
-                expected.add((m.group(1), os.path.basename(bad), lineno))
+    for bad in bad_files:
+        with open(bad, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                m = re.search(r"//\s*EXPECT:\s*([a-z0-9-]+)", line)
+                if m:
+                    expected.add((m.group(1), os.path.basename(bad), lineno))
     tests_fix = os.path.join(supp_root, "tests")
     if os.path.isdir(tests_fix):
         for name in sorted(os.listdir(tests_fix)):
