@@ -14,10 +14,12 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/rng.hpp"
 #include "nn/activation.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/isa.hpp"
 #include "tensor/ops.hpp"
 
 namespace {
@@ -204,4 +206,15 @@ BENCHMARK(BM_Axpy)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The ISA level the tensor kernels run at; check_bench_regression.py
+  // copies it into BENCH_gemm.json next to the build flags.
+  benchmark::AddCustomContext(
+      "tensor_isa_level",
+      std::to_string(static_cast<int>(tensor::isa_level())));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

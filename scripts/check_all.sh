@@ -42,6 +42,9 @@ note() { printf '\n=== %s ===\n' "$*"; }
 note "gate 1: build (-Werror) + ctest"
 cmake -B build -S . -DHETSGD_WERROR=ON >/dev/null
 cmake --build build -j"$JOBS"
+# Which tensor-kernel ISA level (src/tensor/isa.hpp) this host runs.
+build/tests/isa_equivalence_test \
+  --gtest_filter='IsaDispatch.SelectsTheBestLevelTheCpuReports'
 ctest --test-dir build --output-on-failure -j"$JOBS"
 echo "gate 1: PASS"
 

@@ -100,10 +100,15 @@ def main():
 
     with open(opts.raw) as f:
         raw = json.load(f)
+    context = raw.get("context", {})
+    isa_level = context.get("tensor_isa_level")
     current = {
         "benchmark": "bench/micro_gemm",
         "build": "HETSGD_NATIVE=ON",
-        "host_cpus": raw.get("context", {}).get("num_cpus"),
+        # 0 = portable, 3 = x86-64-v3, 4 = x86-64-v4 (src/tensor/isa.hpp);
+        # None when the binary predates the field.
+        "tensor_isa_level": None if isa_level is None else int(isa_level),
+        "host_cpus": context.get("num_cpus"),
         "shapes": parse_raw(raw),
     }
     out_path = Path(opts.out)

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "tensor/matrix.hpp"
-#include "tensor/microkernel.hpp"
+#include "tensor/epilogue.hpp"
 
 namespace hetsgd::nn {
 

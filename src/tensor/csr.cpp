@@ -1,9 +1,9 @@
 #include "tensor/csr.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/macros.hpp"
+#include "tensor/kernels.hpp"
 
 namespace hetsgd::tensor {
 
@@ -100,63 +100,22 @@ InputView InputView::rows_view(Index first, Index count) const {
   return InputView(dense_.rows_view(first, count));
 }
 
-// Both kernels read each row's bounds once into locals and loop between
-// them. Under Hogwild a reader may overlap the epoch reshuffle rewriting
-// the row pointers (DESIGN.md §15); every row pointer stays within the
-// column/value arrays, so a torn pair yields a wrong row, never an
-// out-of-bounds access.
-
 void csr_bias_act(const CsrView& x, ConstMatrixView w, MatrixView out,
                   ConstMatrixView bias, Epilogue epilogue) {
-  const Index m = x.rows();
-  const Index n = w.rows();
-  const Index k = w.cols();
-  HETSGD_ASSERT(x.cols() == k, "csr_bias_act inner dimensions mismatch");
-  HETSGD_ASSERT(out.rows() == m && out.cols() == n,
+  HETSGD_ASSERT(x.cols() == w.cols(), "csr_bias_act inner dimensions mismatch");
+  HETSGD_ASSERT(out.rows() == x.rows() && out.cols() == w.rows(),
                 "csr_bias_act output shape mismatch");
-  HETSGD_ASSERT(bias.rows() == 1 && bias.cols() == n,
+  HETSGD_ASSERT(bias.rows() == 1 && bias.cols() == w.rows(),
                 "csr_bias_act bias shape mismatch");
-  const Index* rp = x.row_ptr();
-  const ColIndex* col = x.col();
-  const Scalar* val = x.val();
-  const Scalar* wd = w.data();
-  for (Index r = 0; r < m; ++r) {
-    const Index begin = rp[r];
-    const Index end = rp[r + 1];
-    Scalar* orow = out.row(r);
-    for (Index j = 0; j < n; ++j) {
-      const Scalar* wrow = wd + j * k;
-      Scalar acc = 0;
-      for (Index p = begin; p < end; ++p) acc += val[p] * wrow[col[p]];
-      orow[j] = acc;
-    }
-    detail::epilogue_row(epilogue, orow, bias.data(), n);
-  }
+  detail::kernels().csr_bias_act(x, w, out, bias.data(), epilogue);
 }
 
 void csr_matmul_tn(ConstMatrixView delta, const CsrView& x,
                    MatrixView grad_w) {
-  const Index m = x.rows();
-  const Index n = delta.cols();
-  const Index k = x.cols();
-  HETSGD_ASSERT(delta.rows() == m, "csr_matmul_tn batch mismatch");
-  HETSGD_ASSERT(grad_w.rows() == n && grad_w.cols() == k,
+  HETSGD_ASSERT(delta.rows() == x.rows(), "csr_matmul_tn batch mismatch");
+  HETSGD_ASSERT(grad_w.rows() == delta.cols() && grad_w.cols() == x.cols(),
                 "csr_matmul_tn output shape mismatch");
-  std::memset(grad_w.data(), 0,
-              static_cast<std::size_t>(grad_w.size()) * sizeof(Scalar));
-  const Index* rp = x.row_ptr();
-  const ColIndex* col = x.col();
-  const Scalar* val = x.val();
-  for (Index r = 0; r < m; ++r) {
-    const Index begin = rp[r];
-    const Index end = rp[r + 1];
-    const Scalar* drow = delta.row(r);
-    for (Index j = 0; j < n; ++j) {
-      const Scalar d = drow[j];
-      Scalar* grow = grad_w.row(j);
-      for (Index p = begin; p < end; ++p) grow[col[p]] += d * val[p];
-    }
-  }
+  detail::kernels().csr_matmul_tn(delta, x, grad_w);
 }
 
 }  // namespace hetsgd::tensor

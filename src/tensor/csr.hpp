@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "tensor/matrix.hpp"
-#include "tensor/microkernel.hpp"  // Epilogue
+#include "tensor/epilogue.hpp"  // Epilogue
 
 namespace hetsgd::tensor {
 

@@ -3,18 +3,18 @@
 //
 // C = alpha * op(A) * op(B) + beta * C, row-major, with op ∈ {identity,
 // transpose}. The production path is a pack-and-microkernel GEMM
-// (pack.hpp / microkernel.hpp): operands are packed per cache block into
-// contiguous zero-padded panels (all four Trans combinations resolved at
-// pack time), multiplied by a register-blocked vectorized micro-kernel,
-// and scheduled shape-aware — the parallel partition runs over rows when
+// (kernels.inl, built once per ISA level — see isa.hpp): operands are
+// packed per cache block into contiguous zero-padded panels (all four
+// Trans combinations resolved at pack time), multiplied by a
+// register-blocked vectorized micro-kernel, and scheduled shape-aware — the parallel partition runs over rows when
 // the batch dimension m is large (GPU-style batches) and over columns
 // (layer width n) when m is small, the CPU Hogbatch-worker case that the
 // seed kernel left serial. `gemm_naive` is the O(n^3) reference oracle
 // used by the test suite.
 #pragma once
 
+#include "tensor/epilogue.hpp"  // Epilogue
 #include "tensor/matrix.hpp"
-#include "tensor/microkernel.hpp"  // Epilogue
 
 namespace hetsgd::tensor {
 
@@ -44,11 +44,11 @@ void gemm(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
 
 // Fused forward-layer kernel: C = epilogue(alpha * op(A) * op(B) + bias),
 // with `bias` a 1 x n row vector broadcast over rows and the epilogue
-// (bias add + optional activation, see microkernel.hpp) applied during the
+// (bias add + optional activation, see epilogue.hpp) applied during the
 // final C write-back while the tile is still in registers — replacing the
 // gemm -> add_row_bias -> activation_forward sequence and its two extra
 // full passes over C. Matches the unfused sequence to rounding (within
-// 1e-12 in the equivalence suite; FP contraction may differ by ulps).
+// 1e-12 in the test suite).
 void gemm_bias_act(Trans ta, Trans tb, Scalar alpha, ConstMatrixView a,
                    ConstMatrixView b, MatrixView c, ConstMatrixView bias,
                    Epilogue epilogue);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/macros.hpp"
+#include "tensor/kernels.hpp"
 
 namespace hetsgd::tensor {
 
@@ -17,22 +18,11 @@ void check_same_shape(ConstMatrixView a, ConstMatrixView b, const char* what) {
 
 void axpy(Scalar alpha, ConstMatrixView x, MatrixView y) {
   check_same_shape(x, y, "axpy shape mismatch");
-  const Scalar* HETSGD_RESTRICT xs = x.data();
-  Scalar* HETSGD_RESTRICT ys = y.data();
-  const Index n = x.size();
-#pragma omp simd
-  for (Index i = 0; i < n; ++i) {
-    ys[i] += alpha * xs[i];
-  }
+  detail::kernels().axpy(x.size(), alpha, x.data(), y.data());
 }
 
 void scale(Scalar alpha, MatrixView x) {
-  Scalar* HETSGD_RESTRICT xs = x.data();
-  const Index n = x.size();
-#pragma omp simd
-  for (Index i = 0; i < n; ++i) {
-    xs[i] *= alpha;
-  }
+  detail::kernels().scale(x.size(), alpha, x.data());
 }
 
 void sub(ConstMatrixView a, ConstMatrixView b, MatrixView out) {
@@ -76,17 +66,7 @@ void add_row_bias(ConstMatrixView bias, MatrixView m) {
 void col_sums(ConstMatrixView m, MatrixView out) {
   HETSGD_ASSERT(out.rows() == 1 && out.cols() == m.cols(),
                 "col_sums output shape mismatch");
-  Scalar* HETSGD_RESTRICT o = out.data();
-  const Index cols = m.cols();
-  std::fill(o, o + cols, Scalar{0});
-  for (Index r = 0; r < m.rows(); ++r) {
-    const Scalar* HETSGD_RESTRICT row = m.row(r);
-    // Independent per-column accumulators: vectorizes without a reduction.
-#pragma omp simd
-    for (Index c = 0; c < cols; ++c) {
-      o[c] += row[c];
-    }
-  }
+  detail::kernels().col_sums(m, out.data());
 }
 
 Scalar frobenius_norm_sq(ConstMatrixView m) {

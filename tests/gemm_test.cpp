@@ -255,6 +255,41 @@ TEST(Gemm, MatmulWrappers) {
   EXPECT_LT(max_abs_diff(dx.view(), dx_ref.view()), 1e-12);
 }
 
+// The skinny NT path (m < 8, untransposed A) sums each dot product in the
+// fixed 8-lane order documented in tensor/kernels.hpp, so its bits do not
+// depend on the build or the ISA level. This reference spells the order
+// out as plain scalar code; the kernel must match it exactly.
+Scalar dot_in_lane_order(const Scalar* a, const Scalar* b, Index n) {
+  Scalar s[8] = {};
+  for (Index k = 0; k < n; ++k) s[k % 8] += a[k] * b[k];
+  return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+}
+
+TEST(Gemm, SkinnyNtSumsInTheFixedLaneOrder) {
+  const Scalar alpha = -1.3, beta = 0.4;
+  const Index n = 19;
+  std::uint64_t seed = 4200;
+  for (Index m : {1, 3, 7}) {
+    for (Index k : {1, 5, 8, 9, 63, 64, 600}) {
+      Rng rng(++seed);
+      const Matrix a = random_matrix(m, k, rng);
+      const Matrix b = random_matrix(n, k, rng);
+      const Matrix c0 = random_matrix(m, n, rng);
+      Matrix c = c0;
+      gemm(Trans::kNo, Trans::kYes, alpha, a.view(), b.view(), beta,
+           c.view());
+      for (Index i = 0; i < m; ++i) {
+        for (Index j = 0; j < n; ++j) {
+          Scalar want = c0(i, j) * beta;
+          want += alpha * dot_in_lane_order(a.row(i), b.row(j), k);
+          EXPECT_EQ(c(i, j), want) << "m=" << m << " k=" << k << " i=" << i
+                                   << " j=" << j;
+        }
+      }
+    }
+  }
+}
+
 TEST(Gemm, ShapeMismatchDies) {
   Matrix a(2, 3), b(4, 2), c(2, 2);
   EXPECT_DEATH(gemm(Trans::kNo, Trans::kNo, 1, a.view(), b.view(), 0, c.view()),

@@ -191,9 +191,10 @@ TEST(Trainer, ReferenceIsDeterministic) {
 // Every run is deterministic (one device worker, or one CPU worker on one
 // lane), so every evaluated loss must match exactly. The lane batch is 12
 // rows so that every batch, epoch tails included (1162 and 994 examples),
-// has at least 8: below that the GEMM takes its row-dot path, whose
-// `omp simd` reduction order depends on the build's instrumentation, and
-// the sanitizer builds would read other last bits.
+// has at least 8 and runs the packed GEMM these values were recorded on.
+// (The m < 8 row-dot path has summed in a fixed 8-lane order since the
+// kernels gained per-ISA builds; before that its `omp simd` reduction
+// order differed between the default and the sanitizer builds.)
 struct PinnedRun {
   data::PaperDataset dataset;
   Algorithm algorithm;
